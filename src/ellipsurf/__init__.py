@@ -11,7 +11,6 @@ plus rigorous two-sided L2 bounds.  See the ``ellipsurf`` CLI for the
 scripted interface.
 """
 
-from ._kernels import JIT_ENABLED, NUMBA_AVAILABLE
 from .bounds import (
     BoundsReport,
     ConcentrationDiagnostic,
@@ -75,9 +74,7 @@ __all__ = [
     "Estimate",
     "FdParams",
     "HomogeneousFn",
-    "JIT_ENABLED",
     "McConfig",
-    "NUMBA_AVAILABLE",
     "QuadConfig",
     "QuadResult",
     "RngStream",

@@ -1,16 +1,9 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels, as plain vectorized numpy.
 
-Every kernel exists in two variants: a plain-numpy implementation
-(``*_numpy``) and a loop implementation compiled with ``@njit``
-(``*_numba``, ``None`` when numba is unavailable).  The module-level
-names (``row_sqrt_qform`` etc.) are bound to whichever variant is
-active; set ``ELLIPSURF_NO_JIT=1`` in the environment before import to
-force the numpy path.  Both variants are deterministic run-to-run; they
-may differ from each other at the last few ulps because the reduction
-order differs, so cross-variant comparisons use a tolerance.
-
-Kernels are compiled with ``fastmath=False`` on purpose: reassociation
-would break bit-reproducibility.
+Every kernel is deterministic run-to-run: identical inputs give
+identical bits.  The measured hot spots of the package are the random
+draw and ``log1p``, both already vectorized numpy, so there is one
+implementation per kernel.
 """
 
 import os
@@ -18,36 +11,17 @@ import os
 import numpy as np
 
 
-def _jit_disabled() -> bool:
-    return os.environ.get("ELLIPSURF_NO_JIT", "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-try:
-    import numba
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay runnable
-    numba = None
-    NUMBA_AVAILABLE = False
-
-JIT_ENABLED = NUMBA_AVAILABLE and not _jit_disabled()
-
-
-# ---------------------------------------------------------------------------
-# numpy variants
-
-
-def row_sqrt_qform_numpy(x, q2):
+def row_sqrt_qform(x, q2):
     """sqrt(sum_j q2[j] * x[i,j]^2) for every row i."""
     return np.sqrt((x * x) @ q2)
 
 
-def row_norm_numpy(x):
+def row_norm(x):
     """Euclidean norm of every row."""
     return np.sqrt((x * x).sum(axis=1))
 
 
-def row_pnorm_numpy(x, p):
+def row_pnorm(x, p):
     """(sum_j |x[i,j]|^p)^(1/p) for every row i.
 
     No overflow scaling: meant for Monte Carlo batches with moderate p.
@@ -55,94 +29,9 @@ def row_pnorm_numpy(x, p):
     return (np.abs(x) ** p).sum(axis=1) ** (1.0 / p)
 
 
-def sum_log1p_numpy(q2, t):
+def sum_log1p(q2, t):
     """sum_j log(1 + q2[j] * t), the log of the moment-product kernel."""
     return float(np.log1p(q2 * t).sum())
-
-
-# ---------------------------------------------------------------------------
-# numba variants
-
-row_sqrt_qform_numba = None
-row_norm_numba = None
-row_pnorm_numba = None
-sum_log1p_numba = None
-
-if NUMBA_AVAILABLE:
-    _njit = numba.njit(cache=True, nogil=True, fastmath=False)
-
-    @_njit
-    def _row_sqrt_qform(x, q2):
-        m, n = x.shape
-        out = np.empty(m)
-        for i in range(m):
-            s = 0.0
-            for j in range(n):
-                s += q2[j] * x[i, j] * x[i, j]
-            out[i] = np.sqrt(s)
-        return out
-
-    @_njit
-    def _row_norm(x):
-        m, n = x.shape
-        out = np.empty(m)
-        for i in range(m):
-            s = 0.0
-            for j in range(n):
-                s += x[i, j] * x[i, j]
-            out[i] = np.sqrt(s)
-        return out
-
-    @_njit
-    def _row_pnorm(x, p):
-        m, n = x.shape
-        out = np.empty(m)
-        # p = 1 and p = 2 dominate usage; a libm pow per element would
-        # cost more than the rest of the loop combined
-        if p == 1.0:
-            for i in range(m):
-                s = 0.0
-                for j in range(n):
-                    s += abs(x[i, j])
-                out[i] = s
-        elif p == 2.0:
-            for i in range(m):
-                s = 0.0
-                for j in range(n):
-                    s += x[i, j] * x[i, j]
-                out[i] = np.sqrt(s)
-        else:
-            inv = 1.0 / p
-            for i in range(m):
-                s = 0.0
-                for j in range(n):
-                    s += abs(x[i, j]) ** p
-                out[i] = s ** inv
-        return out
-
-    @_njit
-    def _sum_log1p(q2, t):
-        s = 0.0
-        for j in range(q2.size):
-            s += np.log1p(q2[j] * t)
-        return s
-
-    row_sqrt_qform_numba = _row_sqrt_qform
-    row_norm_numba = _row_norm
-    row_pnorm_numba = _row_pnorm
-    sum_log1p_numba = _sum_log1p
-
-
-if JIT_ENABLED:
-    row_sqrt_qform = row_sqrt_qform_numba
-    row_norm = row_norm_numba
-    row_pnorm = row_pnorm_numba
-    sum_log1p = sum_log1p_numba
-else:
-    row_sqrt_qform = row_sqrt_qform_numpy
-    row_norm = row_norm_numpy
-    row_pnorm = row_pnorm_numpy
-    sum_log1p = sum_log1p_numpy
 
 
 def backend_threads() -> int:

@@ -15,6 +15,19 @@ For a function f homogeneous of degree d, the two are linked by
 
 which is what :func:`sphere_mean_via_gaussian` implements.
 
+The generic estimators average f itself.  :func:`iso_ratio_mc` knows
+more: for f = sqrt(sum q_i^2 x_i^2), the square g = f^2 has the exact
+mean mu = sum q_i^2 / n on the sphere and sum q_i^2 / 2 under the
+Gaussian.  It therefore averages the control-variate estimator
+
+    h = f - (g - mu) / (2 sqrt(mu)) = sqrt(mu) - (f - sqrt(mu))^2 / (2 sqrt(mu))
+
+(Glasserman, Monte Carlo Methods in Financial Engineering, 2003, 4.1).
+The coefficient 1/(2 sqrt(mu)) is the tangent of sqrt at mu, fixed
+rather than fitted, so the estimate stays exactly unbiased.  It cuts
+the variance per sample by about 5x to 40x at n <= 8 and by about 3000x
+at n = 1000.  The standard error reported is that of the mean of h.
+
 Determinism contract: an estimate is a pure function of
 (samples, seed, chunk_size).  Samples are split into fixed chunks, chunk
 c is generated from the counter-based Philox stream keyed by
@@ -217,17 +230,29 @@ def _draw_gauss(gen: np.random.Generator, m: int, n: int) -> np.ndarray:
     return gen.standard_normal((m, n)) * _INV_SQRT2
 
 
-def _mc_mean(f: HomogeneousFn, n: int, cfg: McConfig, draw) -> tuple:
+def _mc_mean(f: HomogeneousFn, n: int, cfg: McConfig, draw,
+             control_mean: Optional[float] = None) -> tuple:
+    # control_mean, when given, is the exact mean mu of g = f^2 under the
+    # sampled measure; rows then average h = f - (g - mu) / (2 sqrt(mu)),
+    # computed in the Jensen-gap form sqrt(mu) - (f - sqrt(mu))^2 / (2 sqrt(mu)).
+    # A mu that under- or overflowed float64 leaves the plain mean of f.
     if os.environ.get(_DEBUG_ENV, "").strip().lower() in {"1", "true", "yes", "on"}:
         validate_homogeneity(f, n, RngStream(cfg.seed, stream_id=2**32))
 
     sizes = cfg.chunk_sizes()
+    root = None
+    if control_mean is not None and 0.0 < control_mean < math.inf:
+        root = math.sqrt(control_mean)
+        half_inv_root = 0.5 / root
 
     def run_chunk(c: int):
         gen = RngStream(cfg.seed, stream_id=c).generator()
         pts = draw(gen, sizes[c], n)
         v = np.asarray(f.eval(pts), dtype=np.float64)
         _check_finite(v, pts, f.name)
+        if root is not None:
+            d = v - root
+            v = root - d * (d * half_inv_root)
         return _chunk_stats(v)
 
     workers = min(_kernels.backend_threads(), len(sizes))
@@ -268,24 +293,35 @@ def sphere_mean_via_gaussian(f: HomogeneousFn, n: int, cfg: McConfig) -> Estimat
 
 
 def iso_ratio_mc(e: Ellipsoid, cfg: McConfig, route: str = "direct_sphere") -> Estimate:
-    """Isoperimetric ratio R = n * sphere mean of sqrt(sum u_i^2 q_i^2).
+    """Isoperimetric ratio R = n * sphere mean of f(u) = sqrt(sum u_i^2 q_i^2).
 
     route 'direct_sphere' samples the sphere; 'gaussian_transform' uses
     the homogeneous-moment identity.  The two agree within error bars,
     which is a test property.
+
+    Both routes use g = f^2 as a control variate.  Its mean is exact:
+    sum q_i^2 / n on the sphere and sum q_i^2 / 2 under the variance-1/2
+    Gaussian.  The fixed coefficient keeps the estimate unbiased, makes
+    the unit ball exact on 'direct_sphere', and abs_error is the
+    standard error of the controlled mean.
     """
     n = e.n
-    f = sqrt_qform_fn(e.inverse_axes())
+    q = e.inverse_axes()
+    f = sqrt_qform_fn(q)
+    with np.errstate(over="ignore"):
+        q2_sum = float(np.dot(q, q))
     if route == "direct_sphere":
-        base = sphere_mean_mc(f, n, cfg)
+        draw, control_mean, factor, method = _draw_sphere, q2_sum / n, 1.0, "mc"
     elif route == "gaussian_transform":
-        base = sphere_mean_via_gaussian(f, n, cfg)
+        draw, control_mean, method = _draw_gauss, 0.5 * q2_sum, "gauss"
+        factor = geometry.gamma_half_ratio(n, f.degree)
     else:
         raise ValueError(
             f"route must be 'direct_sphere' or 'gaussian_transform', got {route!r}"
         )
-    return Estimate(value=n * base.value, abs_error=n * base.abs_error,
-                    method=base.method, evals=base.evals, seed=base.seed)
+    mean, se = _mc_mean(f, n, cfg, draw, control_mean=control_mean)
+    return Estimate(value=n * (factor * mean), abs_error=n * (factor * se),
+                    method=method, evals=cfg.samples, seed=cfg.seed)
 
 
 def mean_lp_norm_mc(n: int, p: float, cfg: McConfig) -> Estimate:

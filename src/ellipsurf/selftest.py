@@ -125,6 +125,25 @@ def _prop_lauricella_dual_route():
                quad_mod.iso_ratio_quad(e).value, 1e-7, "axes (1,2) vs quadrature")
 
 
+def _prop_mc_control_variate():
+    cfg = mc_mod.McConfig(samples=200_000, seed=20261017)
+    for n in (1, 3, 12):
+        est = mc_mod.iso_ratio_mc(geometry.Ellipsoid([1.0] * n), cfg)
+        if est.value != n or est.abs_error != 0.0:
+            raise AssertionError(
+                f"unit ball n={n}: got {est.value!r} +- {est.abs_error!r}, expected exactly {n}"
+            )
+    e = geometry.Ellipsoid([1.0, 2.0, 3.0])
+    ref = quad_mod.iso_ratio_quad(e).value
+    for route in ("direct_sphere", "gaussian_transform"):
+        est = mc_mod.iso_ratio_mc(e, cfg, route=route)
+        if abs(est.value - ref) > 4.0 * est.abs_error:
+            raise AssertionError(
+                f"axes (1,2,3) {route}: {est.value} +- {est.abs_error} not within "
+                f"4 sigma of laplace {ref}"
+            )
+
+
 #: Ordered (name, property) pairs; names are stable output and also the
 #: hook for fault-injection tests.
 PROPERTIES = (
@@ -132,6 +151,7 @@ PROPERTIES = (
     ("gamma_half_ratio", _prop_gamma_half_ratio),
     ("sphere_surface_exactness", _prop_sphere_surface_exactness),
     ("sphere_gaussian_transform", _prop_sphere_gaussian_transform),
+    ("mc_control_variate", _prop_mc_control_variate),
     ("l2_bounds_sandwich", _prop_l2_bounds_sandwich),
     ("lauricella_dual_route", _prop_lauricella_dual_route),
 )

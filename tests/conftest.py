@@ -6,7 +6,7 @@ import ellipsurf
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    # trigger any JIT compilation before timed assertions run
+    # pay first-call overheads before timed assertions run
     x = np.ones((4, 3))
     ellipsurf.sqrt_qform_fn([1.0, 1.0, 1.0]).eval(x)
     ellipsurf.lp_norm_fn(1.0).eval(x)

@@ -194,6 +194,56 @@ class TestIsoRatioMc:
             mc.iso_ratio_mc(Ellipsoid([1.0]), CFG, route="nope")
 
 
+class TestControlVariate:
+    ROUTES = (("direct_sphere", mc.sphere_mean_mc),
+              ("gaussian_transform", mc.sphere_mean_via_gaussian))
+
+    @pytest.mark.parametrize("route,plain", ROUTES)
+    @pytest.mark.parametrize("axes", [(1.0, 2.0, 3.0), (1.0, 100.0, 1e4)])
+    def test_variance_at_most_a_fifth_of_plain(self, route, plain, axes):
+        # matched (samples, seed): the plain estimator is n times the
+        # generic mean of f, which has no control variate
+        e = Ellipsoid(axes)
+        est = mc.iso_ratio_mc(e, CFG, route=route)
+        base = plain(mc.sqrt_qform_fn(e.inverse_axes()), e.n, CFG)
+        assert est.abs_error ** 2 <= (e.n * base.abs_error) ** 2 / 5.0
+
+    def test_sigma_is_honest(self):
+        # z = (mc - laplace) / sigma over many seeded ellipsoids must
+        # have unit spread: sigma neither over- nor understates the error
+        gen = np.random.Generator(np.random.Philox(key=np.array([31, 0], dtype=np.uint64)))
+        zs = []
+        for i in range(200):
+            n = int(gen.integers(2, 25))
+            span = 10.0 ** gen.uniform(0.0, 4.0)
+            axes = span ** gen.random(n)
+            axes[0], axes[-1] = 1.0, span
+            e = Ellipsoid(axes)
+            ref = iso_ratio_quad(e)
+            if not ref.converged:
+                continue
+            cfg = McConfig(samples=8192, seed=1000 + i)
+            for route, _ in self.ROUTES:
+                est = mc.iso_ratio_mc(e, cfg, route=route)
+                zs.append((est.value - ref.value) / est.abs_error)
+        assert len(zs) >= 200
+        assert 0.85 <= float(np.std(zs, ddof=1)) <= 1.15
+
+    def test_overflowing_control_mean_falls_back_to_plain(self):
+        # sum q^2 overflows float64 while every f value stays finite
+        e = Ellipsoid([1e-154, 1e-154])
+        cfg = McConfig(samples=1000, seed=1)
+        est = mc.iso_ratio_mc(e, cfg)
+        base = mc.sphere_mean_mc(mc.sqrt_qform_fn(e.inverse_axes()), 2, cfg)
+        assert (est.value, est.abs_error) == (2 * base.value, 2 * base.abs_error)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_unit_ball_is_exact_on_sphere(self, n):
+        est = mc.iso_ratio_mc(Ellipsoid([1.0] * n), CFG, route="direct_sphere")
+        assert est.value == float(n)
+        assert est.abs_error == 0.0
+
+
 class TestMeanLpNorm:
     def test_p2_is_one(self):
         est = mc.mean_lp_norm_mc(7, 2.0, CFG)
