@@ -115,7 +115,7 @@ def _render_flat(report: dict, fmt: str) -> str:
 
 
 def _estimate_ratio(e: Ellipsoid, method: str, req: RunRequest) -> tuple:
-    """Run one method; returns (ratio Estimate, alpha actually used)."""
+    """Run one method; returns (ratio Estimate, the ``--alpha`` passed to it)."""
     if method == "mc":
         cfg = mc_mod.McConfig(samples=req.samples, seed=req.seed)
         return mc_mod.iso_ratio_mc(e, cfg, route="direct_sphere"), None
@@ -125,10 +125,9 @@ def _estimate_ratio(e: Ellipsoid, method: str, req: RunRequest) -> tuple:
     if method == "laplace":
         return quad_mod.iso_ratio_quad(e, quad_mod.QuadConfig(rel_tol=req.tol)), None
     if method == "lauricella":
-        alpha = req.alpha if req.alpha is not None else quad_mod.default_alpha(e.inverse_axes())
         est = lauricella_mod.iso_ratio_lauricella(
-            e, alpha=alpha, cfg=quad_mod.QuadConfig(rel_tol=req.tol))
-        return est, alpha
+            e, alpha=req.alpha, cfg=quad_mod.QuadConfig(rel_tol=req.tol))
+        return est, req.alpha
     if method == "asymptotic":
         return bounds_mod.iso_ratio_asymptotic(e), None
     raise ValueError(f"unknown method {method!r}")
@@ -245,7 +244,7 @@ def cmd_compare(args) -> int:
             sa, sb = per_method[a]["surface_area"], per_method[b]["surface_area"]
             diff = abs(sa - sb)
             rel = diff / max(abs(sa), abs(sb))
-            stochastic = a in ("mc", "gauss") or b in ("mc", "gauss")
+            stochastic = not {a, b}.isdisjoint(geometry.STOCHASTIC_METHODS)
             if stochastic:
                 tol = 4.0 * math.hypot(per_method[a]["abs_error"],
                                        per_method[b]["abs_error"])

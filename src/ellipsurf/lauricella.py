@@ -26,6 +26,12 @@ from the moment-generating-function route because the commonly printed
 prefactor n * Gamma(n/2)^2 / Gamma((n+1)/2)^2 with denominator
 parameter (n+1)/2 fails the unit-ball check (it gives 9*pi/8 instead of
 3 at n = 3); see docs/alpha_integral_discrepancy.md for the comparison.
+
+Written as Euler integrals, the q_j^2-weighted sum of the n F_D values
+collapses under z = u/(1 - u) into the one integral
+:func:`~ellipsurf.quadrature.alpha_integral_corrected`, the Laplace
+identity in another variable, which :func:`iso_ratio_lauricella`
+evaluates by default; its series route stays the independent check.
 """
 
 import math
@@ -34,12 +40,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Ellipsoid, Estimate
-from .quadrature import QuadConfig, QuadResult, check_alpha_admissible, default_alpha, _Panels
-
-#: Series route is the default up to this dimension; beyond it the
-#: 1-D integral route is used (auto routing).
-SERIES_DEFAULT_MAX_N = 8
+from .geometry import Ellipsoid, Estimate, gamma_half_ratio
+from .quadrature import (QuadConfig, QuadResult, _Panels, alpha_integral_corrected,
+                         check_alpha_admissible, default_alpha)
 
 
 @dataclass(frozen=True)
@@ -228,43 +231,36 @@ def fd_integral(p: FdParams, cfg: Optional[QuadConfig] = None) -> QuadResult:
 
 
 def iso_ratio_lauricella(e: Ellipsoid, alpha: Optional[float] = None,
-                         route: str = "auto",
+                         route: str = "integral",
                          cfg: Optional[QuadConfig] = None) -> Estimate:
     """Isoperimetric ratio through the F_D identity.
 
-    The result is alpha-invariant for admissible alpha (checked by the
-    test suite); the default alpha maximizes the admissibility margin.
+    ``route="integral"`` returns n * gamma_half_ratio(n, 1) * A / sqrt(pi)
+    with A = alpha_integral_corrected(q, alpha), the n Euler integrals
+    collapsed into one; ``route="series"`` sums the n series, the
+    independent check where it converges.  Both are alpha-invariant for
+    admissible alpha.  The default alpha is 1/max q^2 for the integral,
+    where it only sets the scale, and :func:`default_alpha` for the series.
     """
     cfg = cfg or QuadConfig()
     q = e.inverse_axes()
     n = e.n
-    if alpha is None:
-        alpha = cfg.alpha if cfg.alpha is not None else default_alpha(q)
-    x = check_alpha_admissible(q, alpha)
-
-    if route == "auto":
-        route = "series" if n <= SERIES_DEFAULT_MAX_N else "integral"
     if route not in ("series", "integral"):
-        raise ValueError(f"route must be 'series', 'integral', or 'auto', got {route!r}")
-
+        raise ValueError(f"route must be 'series' or 'integral', got {route!r}")
     q2 = q * q
-    c = 0.5 * n + 1.0
-    total = 0.0
-    err = 0.0
-    evals = 0
-    converged = True
-    for j in range(n):
-        params = FdParams(0.5, eta_vector(n, j), c, x)
-        if route == "series":
-            f = fd_series(params, tol=cfg.rel_tol)
-        else:
-            f = fd_integral(params, cfg)
-        total += q2[j] * f.value
-        err += q2[j] * f.est_error
-        evals += f.evals
-        converged = converged and f.converged
-
+    if alpha is None:
+        alpha = cfg.alpha or (default_alpha(q) if route == "series" else 1.0 / float(q2.max()))
+    if route == "integral":
+        res = alpha_integral_corrected(q, alpha, cfg)
+        scale = n * gamma_half_ratio(n, 1) / math.sqrt(math.pi)
+        return Estimate(value=scale * res.value, abs_error=scale * res.est_error,
+                        method="lauricella", evals=res.evals, seed=None,
+                        converged=res.converged)
+    x = check_alpha_admissible(q, alpha)
+    fs = [fd_series(FdParams(0.5, eta_vector(n, j), 0.5 * n + 1.0, x), tol=cfg.rel_tol)
+          for j in range(n)]
     root_alpha = math.sqrt(alpha)
-    return Estimate(value=root_alpha * total, abs_error=root_alpha * err,
-                    method="lauricella", evals=max(evals, 1), seed=None,
-                    converged=converged)
+    return Estimate(value=root_alpha * sum(w * f.value for w, f in zip(q2, fs)),
+                    abs_error=root_alpha * sum(w * f.est_error for w, f in zip(q2, fs)),
+                    method="lauricella", evals=sum(f.evals for f in fs), seed=None,
+                    converged=all(f.converged for f in fs))

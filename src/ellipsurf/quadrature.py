@@ -46,8 +46,8 @@ class QuadConfig:
     """Tolerances and budgets for the quadrature evaluators.
 
     ``alpha`` only matters for the alpha-parameterized evaluators and
-    for the Lauricella route; when supplied it must satisfy
-    |1 - alpha*q_j^2| < 1 for the q it is used with.
+    for the Lauricella routes, which fall back to it when given no
+    alpha; it must satisfy 0 < alpha*q_j^2 < 2 for the q it is used with.
     """
 
     rel_tol: float = 1e-12
@@ -91,16 +91,16 @@ def check_alpha_admissible(q: Sequence[float], alpha: float) -> np.ndarray:
     """Validate |1 - alpha*q_j^2| < 1 for all j; returns x = 1 - alpha*q^2."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    q2 = np.asarray(q, dtype=np.float64) ** 2
-    x = 1.0 - alpha * q2
-    bad = np.abs(x) >= 1.0
+    # tested as 0 < alpha*q^2 < 2: 1 - alpha*q^2 rounds to 1 at tiny alpha*q^2
+    aq2 = alpha * np.asarray(q, dtype=np.float64) ** 2
+    bad = ~((aq2 > 0.0) & (aq2 < 2.0))
     if bad.any():
         j = int(np.argmax(bad))
         raise ValueError(
             f"alpha={alpha} is inadmissible: |1 - alpha*q_{j + 1}^2| = "
-            f"{abs(x[j])!r} >= 1"
+            f"{float(abs(1.0 - aq2[j]))!r} >= 1"
         )
-    return x
+    return 1.0 - aq2
 
 
 def _validate_q(q) -> np.ndarray:

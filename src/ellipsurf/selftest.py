@@ -105,9 +105,12 @@ def _prop_l2_bounds_sandwich():
 
 
 def _prop_lauricella_dual_route():
-    for n in (2, 5):
-        est = lauricella_mod.iso_ratio_lauricella(geometry.Ellipsoid([1.0] * n))
-        _check_rel(est.value, float(n), 1e-9, f"unit ball iso ratio n={n}")
+    laplace = quad_mod.iso_ratio_quad(geometry.Ellipsoid([1.0, 2.0])).value
+    for route in ("series", "integral"):
+        for axes, expected, rel in (([1.0] * 2, 2.0, 1e-9), ([1.0] * 5, 5.0, 1e-9),
+                                    ([1.0, 2.0], laplace, 1e-7)):
+            est = lauricella_mod.iso_ratio_lauricella(geometry.Ellipsoid(axes), route=route)
+            _check_rel(est.value, expected, rel, f"axes {axes} ({route})")
     gen = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
     for _ in range(5):
         n = int(gen.integers(1, 5))
@@ -120,9 +123,6 @@ def _prop_lauricella_dual_route():
         s = lauricella_mod.fd_series(p)
         i = lauricella_mod.fd_integral(p)
         _check_rel(s.value, i.value, 1e-8, f"F_D dual route {p}")
-    e = geometry.Ellipsoid([1.0, 2.0])
-    _check_rel(lauricella_mod.iso_ratio_lauricella(e).value,
-               quad_mod.iso_ratio_quad(e).value, 1e-7, "axes (1,2) vs quadrature")
 
 
 def _prop_mc_control_variate():

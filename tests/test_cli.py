@@ -11,9 +11,9 @@ import pytest
 from importlib import resources
 
 from ellipsurf import cli, geometry
-from ellipsurf.cli import RunRequest, main
+from ellipsurf.cli import RunRequest, main, parse_axes
 
-from oracles import ellipse_perimeter
+from oracles import ellipse_perimeter, iso_ratio_mpmath
 
 
 def run_cli(capsys, *argv):
@@ -146,9 +146,20 @@ class TestAreaCommand:
 
     def test_nonconvergence_exit_code(self, capsys):
         rc, out, _ = run_cli(capsys, "area", "--axes", "1,1000",
-                             "--method", "lauricella")
+                             "--method", "lauricella", "--tol", "1e-15")
         assert rc == 3
         assert json.loads(out)["converged"] is False
+
+    @pytest.mark.parametrize("axes", ["1,1e8", "1e-8,1e8,3"])
+    def test_lauricella_extreme_aspect_converges(self, capsys, axes):
+        # the largest aspects of the axis domain [1e-8, 1e8]
+        rc, out, _ = run_cli(capsys, "area", "--axes", axes, "--method", "lauricella")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["converged"] is True
+        assert report["alpha"] is None
+        oracle = iso_ratio_mpmath(parse_axes(axes))
+        assert abs(report["iso_ratio"] - oracle) <= 1e-12 * oracle
 
     def test_volume_overflow_is_input_error(self, capsys):
         rc, _, err = run_cli(capsys, "area", "--axes", ",".join(["1e5"] * 100),
@@ -206,9 +217,9 @@ class TestCompareCommand:
                              "--methods", "laplace,warp")
         assert rc == 2
 
-    def test_extreme_ratio_flags_lauricella(self, capsys):
+    def test_unreachable_tol_flags_lauricella(self, capsys):
         rc, out, _ = run_cli(capsys, "compare", "--axes", "1,1000",
-                             "--methods", "laplace,lauricella")
+                             "--methods", "laplace,lauricella", "--tol", "1e-15")
         assert rc == 3
         report = json.loads(out)
         assert report["methods"]["lauricella"]["converged"] is False

@@ -13,7 +13,7 @@ from ellipsurf.lauricella import (
 )
 from ellipsurf.quadrature import QuadConfig, iso_ratio_quad
 
-from oracles import gauss_2f1
+from oracles import gauss_2f1, iso_ratio_mpmath
 
 
 def rel_err(a, b):
@@ -143,8 +143,18 @@ class TestIsoRatioLauricella:
 
     def test_integral_route_beyond_series_cap(self):
         e = Ellipsoid(np.linspace(1.0, 2.0, 9))
-        est = iso_ratio_lauricella(e)  # auto: n = 9 routes to the integral
+        est = iso_ratio_lauricella(e)
         assert rel_err(est.value, iso_ratio_quad(e).value) < 1e-6
+
+    def test_error_honest_against_mpmath(self):
+        # the default route over the whole axis domain: converged, and
+        # within its own claimed error of a 30-digit oracle
+        gen = np.random.Generator(np.random.Philox(key=np.array([61, 0], dtype=np.uint64)))
+        for i in range(16):
+            axes = 10.0 ** gen.uniform(-8.0, 8.0, size=1 + i % 8)
+            est = iso_ratio_lauricella(Ellipsoid(axes))
+            assert est.converged, axes
+            assert abs(est.value - iso_ratio_mpmath(axes)) <= est.abs_error, axes
 
     def test_integral_route_moderate_dimension(self):
         # exercises the log-space integrand assembly: at n = 40 the
@@ -157,7 +167,7 @@ class TestIsoRatioLauricella:
         assert rel_err(est.value, iso_ratio_quad(e).value) < 1e-9
 
     def test_inadmissible_alpha_rejected(self):
-        with pytest.raises(ValueError, match="inadmissible"):
+        with pytest.raises(ValueError, match=r"inadmissible: \|1 - alpha\*q_1\^2\| = 3\.0 >= 1$"):
             iso_ratio_lauricella(Ellipsoid([1.0, 2.0]), alpha=4.0)
 
     def test_bad_route_rejected(self):
