@@ -20,7 +20,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
@@ -31,37 +30,25 @@ from . import quadrature as quad_mod
 from .geometry import Ellipsoid, VolumeOverflowError
 from .selftest import run_selftest
 
-AREA_METHODS = ("auto", "mc", "gauss", "laplace", "lauricella", "asymptotic", "bounds")
-COMPARE_METHODS = ("mc", "gauss", "laplace", "lauricella", "asymptotic")
+#: Ratio estimators by name: (ellipsoid, parsed args) -> Estimate.  Each
+#: entry looks its function up through the module at call time, so a
+#: wrapper installed on the module attribute sees the call.
+METHODS = {
+    "mc": lambda e, a: mc_mod.iso_ratio_mc(
+        e, mc_mod.McConfig(samples=a.samples, seed=a.seed), route="direct_sphere"),
+    "gauss": lambda e, a: mc_mod.iso_ratio_mc(
+        e, mc_mod.McConfig(samples=a.samples, seed=a.seed), route="gaussian_transform"),
+    "laplace": lambda e, a: quad_mod.iso_ratio_quad(e, quad_mod.QuadConfig(rel_tol=a.tol)),
+    "lauricella": lambda e, a: lauricella_mod.iso_ratio_lauricella(
+        e, alpha=a.alpha, cfg=quad_mod.QuadConfig(rel_tol=a.tol)),
+    "asymptotic": lambda e, a: bounds_mod.iso_ratio_asymptotic(e),
+}
 
 #: auto method switches from quadrature to the asymptotic formula here.
 AUTO_ASYMPTOTIC_ABOVE = 10**5
 
 #: deterministic-pair agreement tolerance used by ``compare``.
 DETERMINISTIC_PAIR_RTOL = 1e-6
-
-
-@dataclass(frozen=True)
-class RunRequest:
-    """A parsed single-computation request; round-trips through JSON."""
-
-    axes: tuple
-    inverse: bool = False
-    method: str = "auto"
-    tol: float = 1e-12
-    samples: int = 100_000
-    seed: int = 0
-    alpha: Optional[float] = None
-    format: str = "json"
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRequest":
-        data = json.loads(text)
-        data["axes"] = tuple(data["axes"])
-        return cls(**data)
 
 
 def parse_axes(raw: str) -> tuple:
@@ -114,58 +101,34 @@ def _render_flat(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _estimate_ratio(e: Ellipsoid, method: str, req: RunRequest) -> tuple:
-    """Run one method; returns (ratio Estimate, the ``--alpha`` passed to it)."""
-    if method == "mc":
-        cfg = mc_mod.McConfig(samples=req.samples, seed=req.seed)
-        return mc_mod.iso_ratio_mc(e, cfg, route="direct_sphere"), None
-    if method == "gauss":
-        cfg = mc_mod.McConfig(samples=req.samples, seed=req.seed)
-        return mc_mod.iso_ratio_mc(e, cfg, route="gaussian_transform"), None
-    if method == "laplace":
-        return quad_mod.iso_ratio_quad(e, quad_mod.QuadConfig(rel_tol=req.tol)), None
-    if method == "lauricella":
-        est = lauricella_mod.iso_ratio_lauricella(
-            e, alpha=req.alpha, cfg=quad_mod.QuadConfig(rel_tol=req.tol))
-        return est, req.alpha
-    if method == "asymptotic":
-        return bounds_mod.iso_ratio_asymptotic(e), None
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _area_report(e: Ellipsoid, method: str, req: RunRequest) -> dict:
+def _method_report(e: Ellipsoid, method: str, args) -> dict:
+    """Run one method of :data:`METHODS`; the fields ``area`` and ``compare`` share."""
     t0 = time.perf_counter()
-    ratio, alpha = _estimate_ratio(e, method, req)
+    ratio = METHODS[method](e, args)
     surface = geometry.surface_area(e, ratio)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
     return {
-        "dimension": e.n,
-        "axes_sha256": axes_sha256(e),
-        "method": ratio.method,
-        "volume": geometry.ellipsoid_volume(e),
         "iso_ratio": ratio.value,
         "surface_area": surface.value,
         "abs_error": surface.abs_error,
         "evals": ratio.evals,
         "seed": ratio.seed,
-        "alpha": alpha,
+        "alpha": args.alpha if method == "lauricella" else None,
         "converged": ratio.converged,
-        "wall_time_ms": wall_ms,
+        "wall_time_ms": (time.perf_counter() - t0) * 1000.0,
     }
 
 
 def cmd_area(args) -> int:
-    req = RunRequest(axes=parse_axes(args.axes), inverse=args.inverse,
-                     method=args.method, tol=args.tol, samples=args.samples,
-                     seed=args.seed, alpha=args.alpha, format=args.format)
-    e = build_ellipsoid(req.axes, req.inverse)
-    method = req.method
+    e = build_ellipsoid(parse_axes(args.axes), args.inverse)
+    method = args.method
     if method == "auto":
         method = "laplace" if e.n <= AUTO_ASYMPTOTIC_ABOVE else "asymptotic"
     if method == "bounds":
-        return cmd_bounds_from(e, check=False, tol=req.tol, fmt=req.format, out=args.out)
-    report = _area_report(e, method, req)
-    _emit(_render_flat(report, req.format), args.out)
+        return cmd_bounds_from(e, check=False, tol=args.tol, fmt=args.format, out=args.out)
+    shared = _method_report(e, method, args)  # before the volume, whose overflow is exit 2
+    report = {"dimension": e.n, "axes_sha256": axes_sha256(e), "method": method,
+              "volume": geometry.ellipsoid_volume(e), **shared}
+    _emit(_render_flat(report, args.format), args.out)
     return 0 if report["converged"] else 3
 
 
@@ -210,30 +173,12 @@ def cmd_compare(args) -> int:
     if len(methods) < 2:
         raise ValueError("compare needs at least two methods")
     for m in methods:
-        if m not in COMPARE_METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {COMPARE_METHODS}")
-    req = RunRequest(axes=parse_axes(args.axes), inverse=args.inverse,
-                     method="auto", tol=args.tol, samples=args.samples,
-                     seed=args.seed, alpha=args.alpha, format=args.format)
-    e = build_ellipsoid(req.axes, req.inverse)
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+    e = build_ellipsoid(parse_axes(args.axes), args.inverse)
 
-    per_method = {}
-    failed = False
-    for m in methods:
-        t0 = time.perf_counter()
-        ratio, alpha = _estimate_ratio(e, m, req)
-        surface = geometry.surface_area(e, ratio)
-        per_method[m] = {
-            "iso_ratio": ratio.value,
-            "surface_area": surface.value,
-            "abs_error": surface.abs_error,
-            "evals": ratio.evals,
-            "seed": ratio.seed,
-            "alpha": alpha,
-            "converged": ratio.converged,
-            "wall_time_ms": (time.perf_counter() - t0) * 1000.0,
-        }
-        failed = failed or not ratio.converged
+    per_method = {m: _method_report(e, m, args) for m in methods}
+    failed = not all(info["converged"] for info in per_method.values())
 
     deviations = []
     all_pass = True
@@ -350,13 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--inverse", action="store_true",
                        help="interpret the values as inverse semi-axes q_i = 1/a_i")
 
+    def add_estimator_options(p):
+        p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--samples", type=int, default=100_000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--alpha", type=float, default=None)
+
     area = sub.add_parser("area", help="compute volume, iso ratio, and surface area")
     add_axes(area)
-    area.add_argument("--method", choices=AREA_METHODS, default="auto")
-    area.add_argument("--tol", type=float, default=1e-12)
-    area.add_argument("--samples", type=int, default=100_000)
-    area.add_argument("--seed", type=int, default=0)
-    area.add_argument("--alpha", type=float, default=None)
+    area.add_argument("--method", choices=("auto", *METHODS, "bounds"), default="auto")
+    add_estimator_options(area)
     area.add_argument("--format", choices=("json", "csv", "text"), default="json")
     area.add_argument("--out", default=None, metavar="FILE")
     area.set_defaults(handler=cmd_area)
@@ -364,11 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compare", help="run several methods and report agreement")
     add_axes(comp)
     comp.add_argument("--methods", required=True,
-                      help="comma-separated list from: " + ",".join(COMPARE_METHODS))
-    comp.add_argument("--tol", type=float, default=1e-12)
-    comp.add_argument("--samples", type=int, default=100_000)
-    comp.add_argument("--seed", type=int, default=0)
-    comp.add_argument("--alpha", type=float, default=None)
+                      help="comma-separated list from: " + ",".join(METHODS))
+    add_estimator_options(comp)
     comp.add_argument("--format", choices=("json", "text"), default="json")
     comp.add_argument("--out", default=None, metavar="FILE")
     comp.set_defaults(handler=cmd_compare)

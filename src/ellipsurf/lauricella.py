@@ -249,7 +249,7 @@ def iso_ratio_lauricella(e: Ellipsoid, alpha: Optional[float] = None,
         raise ValueError(f"route must be 'series' or 'integral', got {route!r}")
     q2 = q * q
     if alpha is None:
-        alpha = cfg.alpha or (default_alpha(q) if route == "series" else 1.0 / float(q2.max()))
+        alpha = default_alpha(q) if route == "series" else 1.0 / float(q2.max())
     if route == "integral":
         res = alpha_integral_corrected(q, alpha, cfg)
         scale = n * gamma_half_ratio(n, 1) / math.sqrt(math.pi)

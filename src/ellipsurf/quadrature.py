@@ -43,25 +43,17 @@ _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and budgets for the quadrature evaluators.
-
-    ``alpha`` only matters for the alpha-parameterized evaluators and
-    for the Lauricella routes, which fall back to it when given no
-    alpha; it must satisfy 0 < alpha*q_j^2 < 2 for the q it is used with.
-    """
+    """Tolerances and budgets for the quadrature evaluators."""
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-300
     max_subdivisions: int = 200
-    alpha: Optional[float] = None
 
     def __post_init__(self):
         if not self.rel_tol >= 1e-15:
             raise ValueError(f"rel_tol must be >= 1e-15, got {self.rel_tol}")
         if self.max_subdivisions < 10:
             raise ValueError(f"max_subdivisions must be >= 10, got {self.max_subdivisions}")
-        if self.alpha is not None and not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,19 @@ n from a 30-digit mpmath quadrature of the Laplace identity.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import scipy.special as sp
 
 
-def agm_complete_k(m: float, tol: float = 1e-16) -> float:
+#: AGM stopping tolerance, two float64 ulps: a and b can settle an ulp
+#: apart and stay there, so a finer test never ends.
+AGM_TOL = 2 * sys.float_info.epsilon
+
+
+def agm_complete_k(m: float, tol: float = AGM_TOL) -> float:
     """Complete elliptic integral K(m), parameter m = k^2, by AGM."""
     if not 0.0 <= m < 1.0:
         raise ValueError(f"need 0 <= m < 1, got {m}")
@@ -25,7 +31,7 @@ def agm_complete_k(m: float, tol: float = 1e-16) -> float:
     return math.pi / (2.0 * a)
 
 
-def agm_complete_e(m: float, tol: float = 1e-16) -> float:
+def agm_complete_e(m: float, tol: float = AGM_TOL) -> float:
     """Complete elliptic integral E(m), parameter m = k^2, by AGM.
 
     Uses E = K * (1 - sum_k 2^(k-1) c_k^2) with c_0^2 = m.

@@ -11,7 +11,7 @@ import pytest
 from importlib import resources
 
 from ellipsurf import cli, geometry
-from ellipsurf.cli import RunRequest, main, parse_axes
+from ellipsurf.cli import main, parse_axes
 
 from oracles import ellipse_perimeter, iso_ratio_mpmath
 
@@ -43,11 +43,12 @@ class TestAreaCommand:
         assert report["converged"] is True
         jsonschema.validate(report, load_schema())
 
-    def test_ellipse_perimeter(self, capsys):
-        rc, out, _ = run_cli(capsys, "area", "--axes", "1,2", "--method", "laplace")
+    @pytest.mark.parametrize("axes", ["1,2", "1,1e8"])
+    def test_ellipse_perimeter(self, capsys, axes):
+        rc, out, _ = run_cli(capsys, "area", "--axes", axes, "--method", "laplace")
         assert rc == 0
         report = json.loads(out)
-        expected = ellipse_perimeter(1.0, 2.0)
+        expected = ellipse_perimeter(*parse_axes(axes))
         assert abs(report["surface_area"] - expected) <= 1e-9 * expected
 
     def test_zero_axis_is_input_error(self, capsys):
@@ -71,7 +72,7 @@ class TestAreaCommand:
 
     def test_every_method_validates_schema(self, capsys):
         schema = load_schema()
-        for method in ("mc", "gauss", "laplace", "lauricella", "asymptotic"):
+        for method in cli.METHODS:
             rc, out, _ = run_cli(capsys, "area", "--axes", "1,2,3",
                                  "--method", method, "--samples", "20000",
                                  "--seed", "4")
@@ -178,11 +179,39 @@ class TestDeterminism:
         assert strip_wall_time(out1) == strip_wall_time(out2)
         assert json.loads(out1)["seed"] == 42
 
-    def test_run_request_round_trip(self):
-        req = RunRequest(axes=(1.0, 2.5), inverse=True, method="mc",
-                         tol=1e-10, samples=5000, seed=-3, alpha=0.7,
-                         format="csv")
-        assert RunRequest.from_json(req.to_json()) == req
+
+class TestMethodTable:
+    OPTIONS = ("--samples", "20000", "--seed", "6", "--tol", "1e-11", "--alpha", "0.5")
+
+    def test_area_and_compare_report_the_same_fields(self, capsys):
+        rc, out, _ = run_cli(capsys, "compare", "--axes", "1,2,3",
+                             "--methods", ",".join(cli.METHODS), *self.OPTIONS)
+        assert rc == 0
+        compared = json.loads(out)["methods"]
+        assert list(compared) == list(cli.METHODS)
+        # --alpha is Lauricella's alone
+        assert {m: info["alpha"] for m, info in compared.items()} == {
+            m: 0.5 if m == "lauricella" else None for m in cli.METHODS}
+        for method in cli.METHODS:
+            rc, out, _ = run_cli(capsys, "area", "--axes", "1,2,3",
+                                 "--method", method, *self.OPTIONS)
+            assert rc == 0, method
+            area = json.loads(out)
+            for key in ("dimension", "axes_sha256", "method", "volume", "wall_time_ms"):
+                del area[key]
+            del compared[method]["wall_time_ms"]
+            assert list(area.items()) == list(compared[method].items()), method
+
+    def test_unknown_method_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["area", "--axes", "1,2", "--method", "warp"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'warp'" in capsys.readouterr().err
+        rc, _, err = run_cli(capsys, "compare", "--axes", "1,2",
+                             "--methods", "laplace,warp")
+        assert rc == 2
+        assert "unknown method 'warp'" in err
+        assert all(repr(m) in err for m in cli.METHODS)
 
 
 class TestCompareCommand:

@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from ellipsurf import geometry, mc, quadrature
 from ellipsurf.geometry import Ellipsoid
+from ellipsurf.lauricella import iso_ratio_lauricella
 from ellipsurf.quadrature import (
     QuadConfig,
     alpha_integral_as_printed,
@@ -203,6 +205,15 @@ class TestAlphaIntegrals:
             assert abs(x.max() + x.min()) < 1e-12
 
 
+@pytest.mark.parametrize("aspect", [2.0, 7.0 / 3.0, 1e3, 1e4, 1e6, 1e8])
+def test_agm_perimeter_oracle_against_mpmath(aspect):
+    # the AGM oracle must stop and stay exact up to m within an ulp of 1
+    with mp.workdps(40):
+        b = mp.mpf(aspect)
+        expected = float(4 * b * mp.ellipe(1 - 1 / b ** 2))
+    assert rel_err(ellipse_perimeter(1.0, aspect), expected) <= 1e-14
+
+
 class TestQuadConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -210,4 +221,4 @@ class TestQuadConfig:
         with pytest.raises(ValueError):
             QuadConfig(max_subdivisions=5)
         with pytest.raises(ValueError):
-            QuadConfig(alpha=-1.0)
+            iso_ratio_lauricella(Ellipsoid([1.0, 2.0]), alpha=-1.0)
