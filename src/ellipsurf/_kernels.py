@@ -30,8 +30,10 @@ def row_pnorm(x, p):
 
 
 def sum_log1p(q2, t):
-    """sum_j log(1 + q2[j] * t), the log of the moment-product kernel."""
-    return float(np.log1p(q2 * t).sum())
+    """sum_j log(1 + q2[j] * t[i]) for every node t[i], the log of the
+    moment-product kernel; one (len(t), len(q2)) block in memory."""
+    x = np.multiply.outer(t, q2)
+    return np.log1p(x, out=x).sum(axis=-1)
 
 
 def backend_threads() -> int:

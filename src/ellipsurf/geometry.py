@@ -89,13 +89,32 @@ def sphere_constants(n: int) -> SphereConstants:
                            log_omega=lo, log_kappa=lk)
 
 
+#: From this argument up, log-gamma ratios come from Stirling's series.
+_STIRLING_MIN_X = 20.0
+
+#: B_2k / (2k (2k - 1)) for k = 1..6: Stirling's series coefficients.
+_STIRLING_COEFFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
 def log_gamma_half_ratio(n: float, d: float) -> float:
-    """log of Gamma(n/2) / Gamma((n+d)/2)."""
+    """log of Gamma(n/2) / Gamma((n+d)/2).
+
+    With x = n/2 and a = d/2, once x and x + a reach _STIRLING_MIN_X
+    this is -(x - 1/2) log1p(a/x) - a log(x + a) + a plus the Bernoulli
+    terms of Stirling's series: within 6e-15 relative of 40-digit
+    mpmath for n >= 40 and d up to 7.  The float64 difference of two
+    lgamma values would be 5.5e-10 off at n = 1e6.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n + d <= 0:
         raise ValueError(f"gamma pole: need n + d > 0, got n={n}, d={d}")
-    return math.lgamma(0.5 * n) - math.lgamma(0.5 * (n + d))
+    x, a = 0.5 * n, 0.5 * d
+    if min(x, x + a) < _STIRLING_MIN_X:
+        return math.lgamma(x) - math.lgamma(x + a)
+    series = sum(c * (x ** (1 - 2 * k) - (x + a) ** (1 - 2 * k))
+                 for k, c in enumerate(_STIRLING_COEFFS, start=1))
+    return -(x - 0.5) * math.log1p(a / x) - a * math.log(x + a) + a + series
 
 
 def gamma_half_ratio(n: float, d: float) -> float:

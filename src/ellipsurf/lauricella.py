@@ -12,8 +12,11 @@ F_D(a; b_1..b_n; c; x_1..x_n) is evaluated two independent ways:
 
 * :func:`fd_integral` evaluates the Euler-type representation
   Gamma(c)/(Gamma(a)Gamma(c-a)) * integral_0^1 u^(a-1) (1-u)^(c-a-1)
-  prod_i (1 - u x_i)^(-b_i) du, with square-root substitutions at both
-  endpoints to absorb the algebraic singularities.
+  prod_i (1 - u x_i)^(-b_i) du by the tanh-sinh form of the package's
+  one integration rule (see :mod:`ellipsurf.quadrature`).  log u and
+  log(1 - u) come from the map directly, so the algebraic endpoint
+  factors stay exact, and the tau interval at each end follows from
+  the exponent there (a at u = 0, c - a at u = 1).
 
 The isoperimetric ratio of an ellipsoid with inverse axes q is
 
@@ -41,8 +44,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import Ellipsoid, Estimate, gamma_half_ratio
-from .quadrature import (QuadConfig, QuadResult, _Panels, alpha_integral_corrected,
-                         check_alpha_admissible, default_alpha)
+from .quadrature import (QuadConfig, QuadResult, _de_quad, _tanh_sinh, _tau_end,
+                         alpha_integral_corrected, check_alpha_admissible, default_alpha)
 
 
 @dataclass(frozen=True)
@@ -179,55 +182,24 @@ def fd_integral(p: FdParams, cfg: Optional[QuadConfig] = None) -> QuadResult:
             f"x_{j + 1} = {p.x[j]!r} >= 1 puts a pole inside the integration interval"
         )
     b_arr = np.asarray(p.b)
+    one_minus_x = 1.0 - x_arr
     a, c = p.a, p.c
 
-    def safe_exp(log_value: float) -> float:
-        # graceful underflow to 0; a genuinely overflowing integrand is
-        # surfaced as inf and flagged by the panel machinery
-        if log_value > 709.0:
-            return math.inf
-        return math.exp(log_value) if log_value > -746.0 else 0.0
-
-    def log_prod(u: float) -> float:
-        return -float((b_arr * np.log1p(-u * x_arr)).sum())
-
-    pan = _Panels(cfg)
-
-    # integrand exponents are combined in log space before a single exp:
-    # with many factors the product and the (1-u) power can each leave
-    # float64 range while their combination stays finite.  The rule
-    # never evaluates panel endpoints, but the v = 0 / w = 0 limits are
-    # kept well defined anyway.
-
-    # u in [0, 1/2] under u = v^2
-    def left(v: float) -> float:
-        u = v * v
-        if v == 0.0:
-            exp0 = 2 * a - 1
-            return 2.0 if exp0 == 0 else (0.0 if exp0 > 0 else math.inf)
-        return 2.0 * safe_exp((2 * a - 1) * math.log(v)
-                              + (c - a - 1) * math.log1p(-u) + log_prod(u))
-
-    pan.add(left, 0.0, math.sqrt(0.5))
-
-    # u in [1/2, 1] under 1 - u = w^2
-    def right(w: float) -> float:
-        u = 1.0 - w * w
-        if w == 0.0:
-            exp1 = 2 * (c - a) - 1
-            if exp1 == 0:
-                return 2.0 * safe_exp(log_prod(1.0))
-            return 0.0 if exp1 > 0 else math.inf
-        return 2.0 * safe_exp((2 * (c - a) - 1) * math.log(w)
-                              + (a - 1) * math.log(u) + log_prod(u))
-
-    pan.add(right, 0.0, math.sqrt(0.5))
+    # u^(a-1) (1-u)^(c-a-1) du = u^a (1-u)^(c-a) pi cosh(tau) dtau, and
+    # 1 - u x_i = (1 - u) + u (1 - x_i) has no negative term for x_i < 1.
+    # Exponents combine in log space before a single exp: with many
+    # factors the product and the (1-u) power can each leave float64
+    # range while their combination stays finite.
+    def g(tau):
+        log_u, log_v, log_du = _tanh_sinh(tau)
+        base = np.multiply.outer(np.exp(log_u), one_minus_x)
+        base += np.exp(log_v)[:, None]
+        log_prod = -(b_arr * np.log(base)).sum(axis=-1)
+        return np.exp((a - 1.0) * log_u + (c - a - 1.0) * log_v + log_prod + log_du)
 
     pref = math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a))
-    value = pref * pan.value
-    err = pref * pan.error
-    converged = err <= cfg.rel_tol * abs(value) + cfg.abs_tol
-    return QuadResult(value=value, est_error=err, evals=pan.evals, converged=converged)
+    return _de_quad(g, -_tau_end(math.pi * a), _tau_end(math.pi * (c - a)), p.n, cfg,
+                    scale=pref)
 
 
 def iso_ratio_lauricella(e: Ellipsoid, alpha: Optional[float] = None,

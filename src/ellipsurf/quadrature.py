@@ -10,13 +10,28 @@ since E[exp(-tY)] = prod_j (1 + q_j^2 t)^(-1/2).  The product is always
 computed as exp(-0.5 * sum log1p(q_j^2 t)) so that n ~ 1e6 neither
 overflows nor underflows.
 
-Integration layout: the half line is split into a first panel t in
-[0, 1], evaluated under the substitution t = w^2 which removes the
-t^(-1/2) endpoint behaviour, followed by interval-doubling panels
-[1, 2], [2, 4], ...  Each panel goes through an adaptive Gauss-Kronrod
-rule (scipy's QUADPACK).  Doubling stops once the analytic tail
-remainder bound falls below tolerance, and the exact tail of the
-t^(-3/2) majorant is added in closed form.
+Integration rule.  Every integral of the package is one trapezoid sum
+in a variable tau after a double-exponential change of variable
+(Takahasi & Mori 1974; Trefethen & Weideman, SIAM Review 2014):
+
+* a half-line integral in t runs in s = log t under the sinh map
+  s = c + 2 sinh(tau).  The integrands here decay like exp(-|s - c|/2)
+  at both ends, so the nodes cluster where the integrand lives once the
+  centre c sits at its scale.  E[sqrt(Y)] is 1-homogeneous in q, so q
+  is divided by max q first and c = -log sum (q_j / max q)^2;
+* a finite integral over u in [0, 1] runs under the tanh-sinh map
+  u = (1 + tanh(pi/2 sinh(tau))) / 2, with log u and log(1 - u) each
+  computed from tau directly, so an algebraic endpoint factor
+  u^(a-1) (1-u)^(b-1) is exact even where 1 - u rounds to zero.
+
+The tau interval ends where the transformed integrand has fallen by
+exp(-40), rounded out to the first step.  The step starts at h = 1/2 and
+halves; each level adds only the odd multiples of the new step, and
+evaluates them as one block of nodes of at most about 2^20 float64
+elements, so at n = 1e6 a block is one node.  The error estimate of the
+finer sum T_(h/2) is |T_h - T_(h/2)|, plus the edge-node terms, plus a
+float64 rounding floor of 1024 eps |value| (2.3e-13 relative), which
+no tolerance below it can get past.
 
 The module also evaluates two variants of an alternative alpha-
 parameterized integral for the same quantity: one with the product term
@@ -28,11 +43,10 @@ discrepancy, not to be trusted.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import _kernels
 from . import geometry
@@ -40,10 +54,31 @@ from .geometry import Ellipsoid, Estimate
 
 _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
+#: Relative error the rule can claim at best, for float64 rounding in
+#: the integrands and node sums.  Against a 30-digit oracle, over n = 1..8
+#: and axes log-uniform on [1e-8, 1e8], the worst errors seen were
+#: 7.9e-15 (laplace) and 6.2e-14 (lauricella); the floor stays below a
+#: quarter of the default rel_tol 1e-12.
+_ROUNDING_FLOOR = 1024 * np.finfo(np.float64).eps
+
+#: First trapezoid step in tau.
+_H0 = 0.5
+
+#: The tau interval ends where the integrand has decayed by exp(-_DECAY).
+_DECAY = 40.0
+
+#: Largest number of float64 elements one node block may hold (8 MB).
+_BLOCK_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and budgets for the quadrature evaluators."""
+    """Tolerances and budgets for the quadrature evaluators.
+
+    ``max_subdivisions`` bounds the refinement: the trapezoid step halves
+    from 1/2 only while it stays at least 1/max_subdivisions, so at most
+    max_subdivisions nodes fall on each unit of tau.
+    """
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-300
@@ -104,51 +139,75 @@ def _validate_q(q) -> np.ndarray:
     return q
 
 
-class _Panels:
-    """Shared adaptive-panel bookkeeping: value, error, evals, budget."""
+def _scaled_q2(q: np.ndarray):
+    """(max q, (q / max q)^2 in descending order).
 
-    def __init__(self, cfg: QuadConfig):
-        self.cfg = cfg
-        self.value = 0.0
-        self.error = 0.0
-        self.evals = 0
-        self.panels = 0
-        self.trouble = False
-
-    def add(self, f, a: float, b: float) -> float:
-        count = [0]
-
-        def counted(x):
-            count[0] += 1
-            return f(x)
-
-        res = integrate.quad(
-            counted, a, b,
-            epsabs=self.cfg.abs_tol,
-            epsrel=self.cfg.rel_tol / 4.0,
-            limit=max(self.cfg.max_subdivisions, 50),
-            full_output=1,
-        )
-        y, err = res[0], res[1]
-        self.value += y
-        self.error += err
-        self.evals += count[0]
-        self.panels += 1
-        # a 4th tuple element is QUADPACK's trouble message
-        if len(res) != 3:
-            self.trouble = True
-        return y
-
-    @property
-    def exhausted(self) -> bool:
-        return self.panels >= self.cfg.max_subdivisions
+    The canonical order makes every result exactly permutation invariant
+    instead of invariant up to summation-order ulps.
+    """
+    m = float(q.max())
+    return m, np.sort((q / m) ** 2)[::-1].copy()
 
 
-def _finish(pan: _Panels, value: float, err: float, ok: bool, cfg: QuadConfig) -> QuadResult:
-    converged = (ok and not pan.trouble
-                 and err <= cfg.rel_tol * abs(value) + cfg.abs_tol)
-    return QuadResult(value=value, est_error=err, evals=max(pan.evals, 1),
-                      converged=converged)
+def _tau_end(rate: float) -> float:
+    """End of the tau interval for an integrand decaying like
+    exp(-rate * sinh|tau|), rounded out to the first step."""
+    return _H0 * math.ceil(math.asinh(_DECAY / rate) / _H0)
+
+
+def _tanh_sinh(tau: np.ndarray):
+    """(log u, log(1 - u), log du/dtau) for u = (1 + tanh(pi/2 sinh tau)) / 2.
+
+    With 2 sigma = pi sinh(tau), u = 1/(1 + exp(-2 sigma)) and
+    1 - u = 1/(1 + exp(2 sigma)); neither is formed as a difference.
+    An integrand that behaves like u^a near 0 and (1-u)^b near 1 decays
+    like exp(-pi a sinh|tau|) and exp(-pi b sinh|tau|) in tau.
+    """
+    two_sigma = math.pi * np.sinh(tau)
+    log_u = -np.logaddexp(0.0, -two_sigma)
+    log_v = -np.logaddexp(0.0, two_sigma)
+    return log_u, log_v, np.log(math.pi * np.cosh(tau)) + log_u + log_v
+
+
+def _de_quad(g, lo: float, hi: float, width: int, cfg: QuadConfig,
+             scale: float = 1.0) -> QuadResult:
+    """scale * integral of g(tau) over [lo, hi] by the nested trapezoid rule
+    (scale > 0).
+
+    ``g`` maps a vector of tau to the transformed integrand at each node
+    and is called on blocks of at most _BLOCK_ELEMENTS // width nodes,
+    ``width`` being the float64 elements one node costs.  ``lo`` and
+    ``hi`` are multiples of the first step.
+    """
+    block = max(1, _BLOCK_ELEMENTS // width)
+
+    def nodes(tau):
+        return np.concatenate([g(tau[i:i + block]) for i in range(0, tau.size, block)])
+
+    h = _H0
+    count = int(round((hi - lo) / h))
+    first = nodes(lo + h * np.arange(count + 1))
+    edge = float(abs(first[0]) + abs(first[-1]))
+    total = float(first.sum())
+    evals = count + 1
+    value = scale * h * total
+    while True:
+        h *= 0.5
+        total += float(nodes(lo + h * np.arange(1, 2 * count, 2)).sum())
+        evals += count
+        count *= 2
+        fine = scale * h * total
+        discretization = abs(fine - value) + scale * h * edge
+        value = fine
+        floor = _ROUNDING_FLOOR * abs(value)
+        target = cfg.rel_tol * abs(value) + cfg.abs_tol
+        converged = discretization + floor <= target
+        if (converged or not math.isfinite(value) or h * cfg.max_subdivisions < 2.0
+                # the floor alone misses the tolerance, and halving only
+                # shrinks the discretization term
+                or (floor > target and discretization <= floor)):
+            return QuadResult(value=float(value), est_error=float(discretization + floor),
+                              evals=evals, converged=bool(converged))
 
 
 def sqrt_qform_moment(q: Sequence[float], cfg: Optional[QuadConfig] = None) -> QuadResult:
@@ -159,46 +218,17 @@ def sqrt_qform_moment(q: Sequence[float], cfg: Optional[QuadConfig] = None) -> Q
     that brute-force route is exercised in the test suite.
     """
     cfg = cfg or QuadConfig()
-    q = _validate_q(q)
-    # canonical descending order makes the result exactly permutation
-    # invariant instead of invariant up to summation-order ulps
-    q2 = np.sort(q * q)[::-1].copy()
-    n = q2.size
-    sum_q2 = float(q2.sum())
+    m, q2 = _scaled_q2(_validate_q(q))
+    centre = -math.log(float(q2.sum()))
 
-    def one_minus_prod(t: float) -> float:
-        return -math.expm1(-0.5 * _kernels.sum_log1p(q2, t))
+    # t^(-3/2) (1 - prod) dt = t^(-1/2) (1 - prod) ds with s = log t
+    def g(tau):
+        s = centre + 2.0 * np.sinh(tau)
+        one_minus_prod = -np.expm1(-0.5 * _kernels.sum_log1p(q2, np.exp(s)))
+        return np.exp(-0.5 * s) * one_minus_prod * (2.0 * np.cosh(tau))
 
-    def prod(t: float) -> float:
-        return math.exp(-0.5 * _kernels.sum_log1p(q2, t))
-
-    pan = _Panels(cfg)
-
-    # first panel t in [0, 1] under t = w^2; the integrand extends
-    # smoothly to w = 0 with value sum(q^2)
-    def first(w: float) -> float:
-        if w == 0.0:
-            return sum_q2
-        return 2.0 * one_minus_prod(w * w) / (w * w)
-
-    pan.add(first, 0.0, 1.0)
-
-    t_hi = 1.0
-    converged = False
-    tail_err = math.inf
-    while not pan.exhausted:
-        # remainder past t_hi: integral <= 2 * P(t_hi) / (sqrt(t_hi) * (n+1))
-        tail_err = 2.0 * prod(t_hi) / (math.sqrt(t_hi) * (n + 1))
-        total_here = pan.value + 2.0 / math.sqrt(t_hi)
-        if tail_err <= 0.25 * (cfg.abs_tol * _TWO_SQRT_PI + cfg.rel_tol * abs(total_here)):
-            converged = True
-            break
-        pan.add(lambda t: t ** -1.5 * one_minus_prod(t), t_hi, 2.0 * t_hi)
-        t_hi *= 2.0
-
-    raw = pan.value + 2.0 / math.sqrt(t_hi)
-    raw_err = pan.error + tail_err
-    return _finish(pan, raw / _TWO_SQRT_PI, raw_err / _TWO_SQRT_PI, converged, cfg)
+    end = _tau_end(1.0)
+    return _de_quad(g, -end, end, q2.size, cfg, scale=m / _TWO_SQRT_PI)
 
 
 def sphere_mean_sqrt_qform(q: Sequence[float], cfg: Optional[QuadConfig] = None) -> QuadResult:
@@ -219,10 +249,6 @@ def iso_ratio_quad(e: Ellipsoid, cfg: Optional[QuadConfig] = None) -> Estimate:
                     converged=base.converged)
 
 
-def _alpha_sum_term(q2: np.ndarray, alpha: float, z: float) -> float:
-    return float((q2 / (2.0 * (1.0 + alpha * z * q2))).sum())
-
-
 def alpha_integral_corrected(q: Sequence[float], alpha: float,
                              cfg: Optional[QuadConfig] = None) -> QuadResult:
     """sqrt(alpha) * integral_0^inf z^(-1/2) * S(z) * P(z) dz with
@@ -235,44 +261,24 @@ def alpha_integral_corrected(q: Sequence[float], alpha: float,
     cfg = cfg or QuadConfig()
     q = _validate_q(q)
     check_alpha_admissible(q, alpha)
-    q2 = np.sort(q * q)[::-1].copy()
-    aq2 = alpha * q2
-    n = q2.size
-    q2_min = float(q2.min())
+    m, q2 = _scaled_q2(q)
+    # with q = m q_hat: alpha q^2 = gamma q_hat^2 and sqrt(alpha) m^2 = m sqrt(gamma)
+    gamma = alpha * m * m
+    aq2 = gamma * q2
+    centre = -math.log(float(aq2.sum()))
 
-    def h(z: float) -> float:
-        s = _alpha_sum_term(q2, alpha, z)
-        p = math.exp(-0.5 * _kernels.sum_log1p(aq2, z))
-        return z ** -0.5 * s * p
+    # z^(-1/2) S P dz = z^(1/2) S P ds with s = log z
+    def g(tau):
+        s = centre + 2.0 * np.sinh(tau)
+        z = np.exp(s)
+        block = np.multiply.outer(z, aq2)
+        block += 1.0
+        s_term = 0.5 * np.divide(q2, block, out=block).sum(axis=-1)
+        prod = np.exp(-0.5 * _kernels.sum_log1p(aq2, z))
+        return np.exp(0.5 * s) * s_term * prod * (2.0 * np.cosh(tau))
 
-    pan = _Panels(cfg)
-
-    def first(w: float) -> float:
-        z = w * w
-        s = _alpha_sum_term(q2, alpha, z)
-        p = math.exp(-0.5 * _kernels.sum_log1p(aq2, z))
-        return 2.0 * s * p
-
-    pan.add(first, 0.0, 1.0)
-
-    z_hi = 1.0
-    converged = False
-    tail_err = math.inf
-    while not pan.exhausted:
-        # S(z) <= n/(2 alpha z) and P(z) <= (1 + alpha q2_min z)^(-n/2)
-        log_tail = (math.log(n / alpha)
-                    - 0.5 * n * math.log1p(alpha * q2_min * z_hi)
-                    - 0.5 * math.log(z_hi))
-        tail_err = math.exp(log_tail) if log_tail > -700 else 0.0
-        if tail_err <= 0.25 * (cfg.abs_tol + cfg.rel_tol * abs(pan.value)):
-            converged = True
-            break
-        pan.add(h, z_hi, 2.0 * z_hi)
-        z_hi *= 2.0
-
-    value = math.sqrt(alpha) * pan.value
-    err = math.sqrt(alpha) * (pan.error + tail_err)
-    return _finish(pan, value, err, converged, cfg)
+    end = _tau_end(1.0)
+    return _de_quad(g, -end, end, q2.size, cfg, scale=m * math.sqrt(gamma))
 
 
 def alpha_integral_as_printed(q: Sequence[float], alpha: float,
@@ -290,34 +296,24 @@ def alpha_integral_as_printed(q: Sequence[float], alpha: float,
     q = _validate_q(q)
     check_alpha_admissible(q, alpha)
     q2 = np.sort(q * q)[::-1].copy()
-    q2_max = float(q2.max())
+    q2_max = float(q2[0])
     z_max = 1.0 / q2_max
-    # residuals 1 - q_j^2 * z_max, exact zero at every maximal index
+    # z = z_max u, and 1 - q_j^2 z = (1 - u) + u c_j with the residual
+    # c_j = 1 - q_j^2 / max q^2 exactly zero at every maximal index
     c = 1.0 - q2 * z_max
     c[q2 == q2_max] = 0.0
     degenerate = int((q2 == q2_max).sum()) > 1
 
-    mid = 0.5 * z_max
-    pan = _Panels(cfg)
+    # z^(-1/2) S P dz = sqrt(z_max) u^(-1/2) S P du
+    def g(tau):
+        log_u, log_v, log_du = _tanh_sinh(tau)
+        u = np.exp(log_u)
+        z = z_max * u
+        s_term = 0.5 * (q2 / (1.0 + alpha * np.multiply.outer(z, q2))).sum(axis=-1)
+        log_prod = -0.5 * np.log(np.exp(log_v)[:, None] + np.multiply.outer(u, c)).sum(axis=-1)
+        return s_term * np.exp(log_prod - 0.5 * log_u + log_du)
 
-    def left(w: float) -> float:
-        z = w * w
-        s = _alpha_sum_term(q2, alpha, z)
-        p = math.exp(-0.5 * float(np.log(1.0 - q2 * z).sum()))
-        return 2.0 * s * p
-
-    pan.add(left, 0.0, math.sqrt(mid))
-
-    def right(u: float) -> float:
-        # z = z_max - u^2, with 1 - q_j^2 z = c_j + q_j^2 u^2 held in
-        # factored form so the vanishing residual stays exact
-        z = z_max - u * u
-        s = _alpha_sum_term(q2, alpha, z)
-        logs = float(np.log(c + q2 * (u * u)).sum())
-        return 2.0 * u * z ** -0.5 * s * math.exp(-0.5 * logs)
-
-    pan.add(right, 0.0, math.sqrt(z_max - mid))
-
-    value = math.sqrt(alpha) * pan.value
-    err = math.sqrt(alpha) * pan.error
-    return _finish(pan, value, err, not degenerate, cfg)
+    # both ends behave like the square root of their distance
+    end = _tau_end(0.5 * math.pi)
+    res = _de_quad(g, -end, end, q2.size, cfg, scale=math.sqrt(alpha * z_max))
+    return replace(res, converged=res.converged and not degenerate)

@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 import time
 
 import jsonschema
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -50,6 +53,15 @@ class TestAreaCommand:
         report = json.loads(out)
         expected = ellipse_perimeter(*parse_axes(axes))
         assert abs(report["surface_area"] - expected) <= 1e-9 * expected
+
+    def test_laplace_error_claim_holds_at_aspect_1e8(self, capsys):
+        rc, out, _ = run_cli(capsys, "area", "--axes", "1,1e8", "--method", "laplace")
+        assert rc == 0
+        report = json.loads(out)
+        with mp.workdps(40):
+            expected = float(4 * mp.mpf(1e8) * mp.ellipe(1 - 1 / mp.mpf(1e8) ** 2))
+        assert report["converged"] is True
+        assert abs(report["surface_area"] - expected) <= report["abs_error"]
 
     def test_zero_axis_is_input_error(self, capsys):
         rc, _, err = run_cli(capsys, "area", "--axes", "1,2,0")
@@ -161,6 +173,27 @@ class TestAreaCommand:
         assert report["alpha"] is None
         oracle = iso_ratio_mpmath(parse_axes(axes))
         assert abs(report["iso_ratio"] - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("axes", [
+        "1e-6,1,1",
+        "1e-8,1e8,3",
+        # once gave a negative error estimate, so the CLI exited 2
+        "9571843.474811066,1.5217230306134997e-07,449799.0151102721",
+    ])
+    def test_laplace_extreme_aspect_converges(self, capsys, axes):
+        rc, out, _ = run_cli(capsys, "area", "--axes", axes, "--method", "laplace")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["converged"] is True
+        oracle = iso_ratio_mpmath(parse_axes(axes))
+        assert abs(report["iso_ratio"] - oracle) <= 1e-12 * oracle
+
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, ellipsurf.cli\nprint('scipy' in sys.modules)\n"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_volume_overflow_is_input_error(self, capsys):
         rc, _, err = run_cli(capsys, "area", "--axes", ",".join(["1e5"] * 100),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -56,6 +57,15 @@ class TestGammaHalfRatio:
         n = 10**6
         assert rel_err(geometry.gamma_half_ratio(n, 1),
                        math.sqrt(2.0 / (n + 1))) < 1e-5
+
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_large_n_against_mpmath(self, n, d):
+        # the float64 difference of two lgamma values is 2e-11 off at
+        # n = 1e5 and 5e-10 off at n = 1e6
+        with mp.workdps(40):
+            expected = float(mp.gamma(mp.mpf(n) / 2) / mp.gamma(mp.mpf(n + d) / 2))
+        assert rel_err(geometry.gamma_half_ratio(n, d), expected) <= 1e-14
 
     def test_product_identity(self):
         for n in (1, 2, 7, 100, 10**4, 10**6):

@@ -22,6 +22,15 @@ def test_active_kernels_are_deterministic(batch):
     assert a.tobytes() == b.tobytes()
 
 
+def test_sum_log1p_per_node_matches_one_node(batch):
+    _, q2 = batch
+    t = np.geomspace(1e-30, 1e30, 41)
+    block = _kernels.sum_log1p(q2, t)
+    assert block.shape == t.shape
+    for i, ti in enumerate(t):
+        assert block[i] == float(np.log1p(q2 * ti).sum())
+
+
 def test_no_jit_env_flag_selects_numpy_path():
     # smoke test: a fresh interpreter imports the package and runs one
     # deterministic and one Monte Carlo estimate

@@ -18,7 +18,7 @@ from ellipsurf.quadrature import (
     sqrt_qform_moment,
 )
 
-from oracles import ellipse_perimeter, ellipsoid_surface_3d
+from oracles import ellipse_perimeter, ellipsoid_surface_3d, iso_ratio_mpmath
 
 
 SQRT_PI = math.sqrt(math.pi)
@@ -93,7 +93,7 @@ class TestSqrtQformMoment:
 
     def test_nonconvergence_flagged(self):
         cfg = QuadConfig(max_subdivisions=10)
-        res = sqrt_qform_moment([1e-8, 1.0], cfg)
+        res = sqrt_qform_moment([1e-8, 1e-4, 1.0], cfg)
         assert not res.converged
 
     def test_converged_error_contract(self):
@@ -131,6 +131,38 @@ class TestIsoRatioQuad:
             det = iso_ratio_quad(e)
             est = mc.iso_ratio_mc(e, mc.McConfig(samples=100_000, seed=500 + i))
             assert abs(det.value - est.value) <= 4.0 * est.abs_error
+
+
+    def test_error_honest_against_mpmath(self):
+        # over the whole axis domain: converged, and within its own
+        # claimed error of a 30-digit oracle
+        gen = np.random.Generator(np.random.Philox(key=np.array([67, 0], dtype=np.uint64)))
+        for i in range(16):
+            axes = 10.0 ** gen.uniform(-8.0, 8.0, size=1 + i % 8)
+            est = iso_ratio_quad(Ellipsoid(axes))
+            assert est.converged, axes
+            assert abs(est.value - iso_ratio_mpmath(axes)) <= est.abs_error, axes
+
+
+class TestNodeBlocks:
+    def test_block_bound_at_n_1e6(self, monkeypatch):
+        sizes = []
+        kernel = quadrature._kernels.sum_log1p
+
+        def recording(q2, t):
+            sizes.append(np.size(t) * q2.size)
+            return kernel(q2, t)
+
+        monkeypatch.setattr(quadrature._kernels, "sum_log1p", recording)
+        res = sqrt_qform_moment(np.ones(10**6))
+        assert res.converged
+        assert max(sizes) <= quadrature._BLOCK_ELEMENTS
+
+    def test_block_size_leaves_bits_unchanged(self, monkeypatch):
+        q = [0.3, 2.2, 1.1, 0.9, 1.7]
+        whole = sqrt_qform_moment(q)
+        monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 3)
+        assert sqrt_qform_moment(q) == whole
 
 
 class TestNormFromRatio:
