@@ -39,8 +39,8 @@ class ConcentrationDiagnostic:
 
 def concentration_diagnostic(q: Sequence[float]) -> ConcentrationDiagnostic:
     q = np.asarray(q, dtype=np.float64)
-    s2 = math.fsum(float(v) for v in q * q)
-    s4 = math.fsum(float(v) for v in q ** 4)
+    s2 = math.fsum((q * q).tolist())
+    s4 = math.fsum((q ** 4).tolist())
     if s2 == 0.0:
         raise ValueError("q must have at least one nonzero entry")
     return ConcentrationDiagnostic(sum_q2=s2, sum_q4=s4, ratio=s4 / (s2 * s2))
@@ -53,7 +53,7 @@ def iso_ratio_asymptotic(e: Ellipsoid) -> Estimate:
     consult :func:`concentration_diagnostic` for applicability.
     """
     q = e.inverse_axes()
-    s2 = math.fsum(float(v) for v in q * q)
+    s2 = math.fsum((q * q).tolist())
     value = e.n * geometry.gamma_half_ratio(e.n, 1) * math.sqrt(0.5 * s2)
     return Estimate(value=value, abs_error=0.0, method="asymptotic",
                     evals=1, seed=None)

@@ -10,10 +10,18 @@ on its own.
 All gamma/area/volume arithmetic goes through log-gamma and stays in
 log space until a linear value is requested; this keeps dimensions up to
 about 10^6 usable without overflow.
+
+An :class:`Ellipsoid` stores its semi-axes a and inverse axes q = 1/a
+as two read-only float64 arrays, validated in one vector pass, so no
+O(n) step between the input and the estimators loops in Python.  The
+log-volume sum of log a_i is taken once per ellipsoid, with
+``math.log`` and ``math.fsum`` so that its bits do not depend on
+numpy's vector log.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -164,54 +172,84 @@ class Estimate:
             raise ValueError(f"method {self.method!r} is deterministic; seed must be None")
 
 
-@dataclass(frozen=True)
+def _positive_finite_vector(values: Sequence[float], name: str) -> np.ndarray:
+    """values as a new read-only float64 vector, checked in one vector pass.
+
+    The first entry that is not positive and finite is named by its
+    1-based index and value.
+    """
+    v = np.array(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"{name} values must form a 1-D sequence, got shape {v.shape}")
+    ok = np.isfinite(v) & (v > 0.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"{name} {i + 1} must be a positive finite number, got {float(v[i])!r}")
+    v.flags.writeable = False
+    return v
+
+
 class Ellipsoid:
     """Axis-aligned ellipsoid {x : sum_i (x_i / a_i)^2 <= 1}.
 
-    Semi-axes must be positive and finite; degenerate values are rejected
-    at construction because every downstream formula divides by them.
+    Holds two read-only float64 arrays, the semi-axes a and q = 1/a.
+    Semi-axes must be positive and finite; degenerate values are rejected at construction because
+    every downstream formula divides by them.  ``axes`` is the same
+    values as a tuple, built on first use; equality, hashing and repr go
+    by the axis values.
     """
 
-    axes: tuple
-    _inverse: tuple = field(init=False, repr=False, compare=False)
-
     def __init__(self, axes: Sequence[float]):
-        axes = tuple(float(a) for a in axes)
-        if len(axes) < 1:
+        a = _positive_finite_vector(axes, "axis")
+        if a.size < 1:
             raise ValueError("an ellipsoid needs at least one semi-axis")
-        for i, a in enumerate(axes):
-            if not (math.isfinite(a) and a > 0.0):
-                raise ValueError(
-                    f"axis {i + 1} must be a positive finite number, got {a!r}"
-                )
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "_inverse", tuple(1.0 / a for a in axes))
+        with np.errstate(over="ignore"):  # 1/a of a subnormal a is inf, as in Python
+            q = 1.0 / a
+        q.flags.writeable = False
+        self._a = a
+        self._q = q
 
     @classmethod
     def from_inverse_axes(cls, q: Sequence[float]) -> "Ellipsoid":
-        q = [float(v) for v in q]
-        for i, v in enumerate(q):
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(
-                    f"inverse axis {i + 1} must be a positive finite number, got {v!r}"
-                )
-        return cls([1.0 / v for v in q])
+        q = _positive_finite_vector(q, "inverse axis")
+        with np.errstate(over="ignore"):  # an inf axis is then rejected by name
+            return cls(1.0 / q)
+
+    @cached_property
+    def axes(self) -> tuple:
+        return tuple(self._a.tolist())
+
+    @cached_property
+    def _log_axes_sum(self) -> float:
+        # math.log, not np.log, which differs in the last bit on some inputs
+        return math.fsum(map(math.log, self._a.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.axes)
+        return self._a.size
 
     def axes_array(self) -> np.ndarray:
-        return np.asarray(self.axes, dtype=np.float64)
+        return self._a
 
     def inverse_axes(self) -> np.ndarray:
-        """q with q_i = 1/a_i; identical bits on every call."""
-        return np.asarray(self._inverse, dtype=np.float64)
+        """q with q_i = 1/a_i; the same read-only array on every call."""
+        return self._q
+
+    def __eq__(self, other):
+        if not isinstance(other, Ellipsoid):
+            return NotImplemented
+        return np.array_equal(self._a, other._a)
+
+    def __hash__(self):
+        return hash(self._a.tobytes())
+
+    def __repr__(self):
+        return f"Ellipsoid(axes={self.axes!r})"
 
 
 def log_ellipsoid_volume(e: Ellipsoid) -> float:
     """log of kappa_n * prod(a_i)."""
-    return log_unit_ball_volume(e.n) + math.fsum(math.log(a) for a in e.axes)
+    return log_unit_ball_volume(e.n) + e._log_axes_sum
 
 
 def ellipsoid_volume(e: Ellipsoid) -> float:
@@ -242,7 +280,7 @@ def projection_volume(e: Ellipsoid, u: Sequence[float]) -> float:
     q = e.inverse_axes()
     quad = float(((u * q) ** 2).sum())
     lv = (log_unit_ball_volume(e.n - 1)
-          + math.fsum(math.log(a) for a in e.axes)
+          + e._log_axes_sum
           + 0.5 * math.log(quad))
     if lv > _LOG_FLOAT_MAX:
         raise VolumeOverflowError(

@@ -211,23 +211,32 @@ def iso_ratio_lauricella(e: Ellipsoid, alpha: Optional[float] = None,
     with A = alpha_integral_corrected(q, alpha), the n Euler integrals
     collapsed into one; ``route="series"`` sums the n series, the
     independent check where it converges.  Both are alpha-invariant for
-    admissible alpha.  The default alpha is 1/max q^2 for the integral,
-    where it only sets the scale, and :func:`default_alpha` for the series.
+    admissible alpha.  Without an alpha, the integral is taken on
+    q / max q at alpha = 1, the same as alpha = 1/max q^2 but with no
+    q^2 formed, so axes below 1e-154 do not overflow it; the series
+    takes :func:`default_alpha`.
     """
     cfg = cfg or QuadConfig()
     q = e.inverse_axes()
     n = e.n
     if route not in ("series", "integral"):
         raise ValueError(f"route must be 'series' or 'integral', got {route!r}")
-    q2 = q * q
-    if alpha is None:
-        alpha = default_alpha(q) if route == "series" else 1.0 / float(q2.max())
     if route == "integral":
-        res = alpha_integral_corrected(q, alpha, cfg)
         scale = n * gamma_half_ratio(n, 1) / math.sqrt(math.pi)
+        if alpha is None:
+            # A is 1-homogeneous in q: integrate on q / max q at alpha = 1,
+            # where no q^2 can overflow, and scale back by max q
+            m = float(q.max())
+            res = alpha_integral_corrected(q / m, 1.0, cfg)
+            scale *= m
+        else:
+            res = alpha_integral_corrected(q, alpha, cfg)
         return Estimate(value=scale * res.value, abs_error=scale * res.est_error,
                         method="lauricella", evals=res.evals, seed=None,
                         converged=res.converged)
+    if alpha is None:
+        alpha = default_alpha(q)
+    q2 = q * q
     x = check_alpha_admissible(q, alpha)
     fs = [fd_series(FdParams(0.5, eta_vector(n, j), 0.5 * n + 1.0, x), tol=cfg.rel_tol)
           for j in range(n)]

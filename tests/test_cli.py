@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -125,6 +126,34 @@ class TestAreaCommand:
                              "--method", "laplace")
         assert rc == 0
         assert json.loads(out)["dimension"] == 3
+
+    def test_axes_file_line_with_two_numbers_rejected(self, tmp_path, capsys):
+        axes_file = tmp_path / "axes.txt"
+        axes_file.write_text("1.0\n1 2\n3.0\n")
+        rc, _, err = run_cli(capsys, "area", "--axes", f"@{axes_file}")
+        assert rc == 2
+        assert "axis 2 is not a number: '1 2'" in err
+
+    def test_axes_sha256_hashes_little_endian_float64(self, capsys):
+        hashes = []
+        for axes in ("1,2,3", "1.0,2e0,3"):
+            rc, out, _ = run_cli(capsys, "area", "--axes", axes, "--method", "asymptotic")
+            assert rc == 0
+            hashes.append(json.loads(out)["axes_sha256"])
+        payload = np.array([1.0, 2.0, 3.0], dtype="<f8").tobytes()
+        assert hashes[0] == hashlib.sha256(payload).hexdigest()
+        assert hashes == ["a68de4b5e96a60c8ceb3c7b7ef93461725bdbbff3516b136585a743b5c0ec664"] * 2
+
+    def test_lauricella_tiny_axis_matches_laplace(self, capsys):
+        # 1/max q^2 underflows to 0 here, so no alpha may be derived from q^2
+        values = {}
+        for method in ("laplace", "lauricella"):
+            rc, out, _ = run_cli(capsys, "area", "--axes", "1e-160,1", "--method", method)
+            assert rc == 0, method
+            report = json.loads(out)
+            assert report["converged"] is True
+            values[method] = report["iso_ratio"]
+        assert abs(values["lauricella"] - values["laplace"]) <= 1e-12 * values["laplace"]
 
     def test_missing_axes_file(self, capsys):
         rc, _, err = run_cli(capsys, "area", "--axes", "@/no/such/file")
@@ -285,6 +314,23 @@ class TestCompareCommand:
         assert rc == 3
         report = json.loads(out)
         assert report["methods"]["lauricella"]["converged"] is False
+
+    @pytest.mark.parametrize("methods", ["laplace,lauricella", "laplace,asymptotic"])
+    def test_underflowed_volume_compares_ratios(self, tmp_path, capsys, methods):
+        # n = 1e5 axes of 1.5: both surface areas underflow to 0.0
+        axes_file = tmp_path / "axes.txt"
+        axes_file.write_text("1.5\n" * 100_000)
+        rc, out, _ = run_cli(capsys, "compare", "--axes", f"@{axes_file}",
+                             "--methods", methods)
+        assert rc == 0
+        report = json.loads(out)
+        a, b = methods.split(",")
+        ra, rb = (report["methods"][m]["iso_ratio"] for m in (a, b))
+        assert report["methods"][a]["surface_area"] == 0.0
+        rel = report["deviations"][0]["rel_deviation"]
+        assert rel == abs(ra - rb) / max(ra, rb)
+        # the asymptotic formula is off by O(1/n) on equal axes
+        assert rel < 1e-12 if methods == "laplace,lauricella" else rel < 1e-5
 
     def test_asymptotic_small_n_fails_honestly(self, capsys):
         rc, out, _ = run_cli(capsys, "compare", "--axes", "1,1,1",

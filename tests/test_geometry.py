@@ -109,6 +109,39 @@ class TestEllipsoid:
         with pytest.raises(ValueError):
             Ellipsoid([])
 
+    def test_last_bad_axis_of_long_input_named(self):
+        axes = np.ones(100_000)
+        axes[99_999] = -2.0
+        with pytest.raises(ValueError, match=r"axis 100000 must be .* got -2\.0"):
+            Ellipsoid(axes)
+
+    def test_stored_arrays_read_only(self):
+        e = Ellipsoid([0.3, 1.7, 2.9])
+        for arr in (e.axes_array(), e.inverse_axes()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert e.inverse_axes().tobytes() == e.inverse_axes().tobytes()
+        assert e.inverse_axes().tolist() == [1.0 / a for a in (0.3, 1.7, 2.9)]
+
+    def test_caller_array_copied(self):
+        axes = np.array([1.0, 2.0])
+        e = Ellipsoid(axes)
+        axes[0] = 5.0
+        assert axes.flags.writeable
+        assert e.axes == (1.0, 2.0)
+
+    def test_from_inverse_axes_names_bad_entry(self):
+        with pytest.raises(ValueError, match="inverse axis 3 must be .* got nan"):
+            Ellipsoid.from_inverse_axes([1.0, 0.5, math.nan])
+
+    def test_equality_hash_and_repr_by_value(self):
+        a = Ellipsoid([1, 2])
+        b = Ellipsoid(np.array([1.0, 2.0]))
+        assert a == b and hash(a) == hash(b)
+        assert a != Ellipsoid([2.0, 1.0])
+        assert repr(a) == "Ellipsoid(axes=(1.0, 2.0))"
+
     @given(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=12))
     def test_inverse_axes_are_reciprocals(self, axes):
         e = Ellipsoid(axes)
@@ -123,6 +156,12 @@ class TestVolume:
                        8 * math.pi) < 1e-14
         assert rel_err(geometry.ellipsoid_volume(Ellipsoid([2, 3])),
                        6 * math.pi) < 1e-14
+
+    def test_log_volume_bits_match_the_scalar_loop(self):
+        axes = 10.0 ** np.random.default_rng(8).uniform(-3.0, 3.0, 1000)
+        expected = (geometry.log_unit_ball_volume(1000)
+                    + math.fsum(math.log(a) for a in axes.tolist()))
+        assert geometry.log_ellipsoid_volume(Ellipsoid(axes)) == expected
 
     def test_overflow_reported_with_log_value(self):
         e = Ellipsoid([1e300] * 10)
