@@ -29,7 +29,9 @@ class ConcentrationDiagnostic:
     """sum q^2, sum q^4, and their concentration ratio.
 
     ratio = sum q^4 / (sum q^2)^2 lies in [1/n, 1]; the asymptotic
-    iso-ratio formula is trustworthy only when it is small.
+    iso-ratio formula is trustworthy only when it is small.  The ratio
+    is scale-free and taken on q / max q; the two sums are those of q
+    itself, so they may be 0.0 or inf where the ratio is not.
     """
 
     sum_q2: float
@@ -39,11 +41,14 @@ class ConcentrationDiagnostic:
 
 def concentration_diagnostic(q: Sequence[float]) -> ConcentrationDiagnostic:
     q = np.asarray(q, dtype=np.float64)
-    s2 = math.fsum((q * q).tolist())
-    s4 = math.fsum((q ** 4).tolist())
-    if s2 == 0.0:
-        raise ValueError("q must have at least one nonzero entry")
-    return ConcentrationDiagnostic(sum_q2=s2, sum_q4=s4, ratio=s4 / (s2 * s2))
+    # zero entries add nothing to either sum
+    m, q_hat = geometry.scaled_inverse_axes(q[q != 0.0])
+    q2 = q_hat * q_hat
+    s2 = math.fsum(q2.tolist())
+    s4 = math.fsum((q2 * q2).tolist())
+    m2 = m * m  # float *, not **, which raises OverflowError
+    return ConcentrationDiagnostic(sum_q2=s2 * m2, sum_q4=s4 * (m2 * m2),
+                                   ratio=s4 / (s2 * s2))
 
 
 def iso_ratio_asymptotic(e: Ellipsoid) -> Estimate:
@@ -52,9 +57,9 @@ def iso_ratio_asymptotic(e: Ellipsoid) -> Estimate:
     abs_error is reported as 0 because no rate is claimed; callers must
     consult :func:`concentration_diagnostic` for applicability.
     """
-    q = e.inverse_axes()
-    s2 = math.fsum((q * q).tolist())
-    value = e.n * geometry.gamma_half_ratio(e.n, 1) * math.sqrt(0.5 * s2)
+    m, q_hat = geometry.scaled_inverse_axes(e.inverse_axes())
+    s2 = math.fsum((q_hat * q_hat).tolist())
+    value = e.n * geometry.gamma_half_ratio(e.n, 1) * math.sqrt(0.5 * s2) * m
     return Estimate(value=value, abs_error=0.0, method="asymptotic",
                     evals=1, seed=None)
 

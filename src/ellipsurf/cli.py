@@ -109,12 +109,13 @@ def _render_flat(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _method_report(e: Ellipsoid, method: str, args) -> dict:
-    """Run one method of :data:`METHODS`; the fields ``area`` and ``compare`` share."""
+def _method_report(e: Ellipsoid, method: str, args) -> tuple:
+    """Run one method of :data:`METHODS`: its ratio Estimate, and the
+    fields ``area`` and ``compare`` share."""
     t0 = time.perf_counter()
     ratio = METHODS[method](e, args)
     surface = geometry.surface_area(e, ratio)
-    return {
+    return ratio, {
         "iso_ratio": ratio.value,
         "surface_area": surface.value,
         "abs_error": surface.abs_error,
@@ -133,7 +134,7 @@ def cmd_area(args) -> int:
         method = "laplace" if e.n <= AUTO_ASYMPTOTIC_ABOVE else "asymptotic"
     if method == "bounds":
         return cmd_bounds_from(e, check=False, tol=args.tol, fmt=args.format, out=args.out)
-    shared = _method_report(e, method, args)  # before the volume, whose overflow is exit 2
+    _, shared = _method_report(e, method, args)  # before the volume, whose overflow is exit 2
     report = {"dimension": e.n, "axes_sha256": axes_sha256(e), "method": method,
               "volume": geometry.ellipsoid_volume(e), **shared}
     _emit(_render_flat(report, args.format), args.out)
@@ -185,7 +186,9 @@ def cmd_compare(args) -> int:
             raise ValueError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
     e = build_ellipsoid(parse_axes(args.axes), args.inverse)
 
-    per_method = {m: _method_report(e, m, args) for m in methods}
+    ratios, per_method = {}, {}
+    for m in methods:
+        ratios[m], per_method[m] = _method_report(e, m, args)
     failed = not all(info["converged"] for info in per_method.values())
 
     deviations = []
@@ -193,17 +196,15 @@ def cmd_compare(args) -> int:
     names = list(methods)
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
+            # judged on the ratios, where the volume cancels: the areas
+            # underflow to 0.0 together at large n
             a, b = names[i], names[j]
-            sa, sb = per_method[a]["surface_area"], per_method[b]["surface_area"]
-            diff = abs(sa - sb)
-            # from the ratios, where the volume cancels: the areas underflow
-            # to 0.0 together at large n
-            ra, rb = per_method[a]["iso_ratio"], per_method[b]["iso_ratio"]
-            rel = abs(ra - rb) / max(ra, rb)
+            ra, rb = ratios[a], ratios[b]
+            diff = abs(ra.value - rb.value)
+            rel = diff / max(ra.value, rb.value)
             stochastic = not {a, b}.isdisjoint(geometry.STOCHASTIC_METHODS)
             if stochastic:
-                tol = 4.0 * math.hypot(per_method[a]["abs_error"],
-                                       per_method[b]["abs_error"])
+                tol = 4.0 * math.hypot(ra.abs_error, rb.abs_error)
                 ok = diff <= tol
                 kind = "4sigma_abs"
             else:

@@ -189,6 +189,21 @@ def _positive_finite_vector(values: Sequence[float], name: str) -> np.ndarray:
     return v
 
 
+def scaled_inverse_axes(q: Sequence[float]) -> tuple:
+    """(m, q / m) with m = max q, for positive finite inverse axes q.
+
+    The isoperimetric ratio is 1-homogeneous in q, R(c q) = c R(q).  So
+    every ratio route runs on q / m, whose entries lie in (0, 1] and
+    whose squares cannot overflow, and multiplies by m once at the end.
+    That also makes R(2^k q) == 2^k R(q) exactly.
+    """
+    q = _positive_finite_vector(q, "inverse axis")
+    if q.size < 1:
+        raise ValueError("q must have at least one nonzero entry")
+    m = float(q.max())
+    return m, q / m
+
+
 class Ellipsoid:
     """Axis-aligned ellipsoid {x : sum_i (x_i / a_i)^2 <= 1}.
 

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Ellipsoid, Estimate, gamma_half_ratio
+from .geometry import Ellipsoid, Estimate, gamma_half_ratio, scaled_inverse_axes
 from .quadrature import (QuadConfig, QuadResult, _de_quad, _tanh_sinh, _tau_end,
                          alpha_integral_corrected, check_alpha_admissible, default_alpha)
 
@@ -211,37 +211,31 @@ def iso_ratio_lauricella(e: Ellipsoid, alpha: Optional[float] = None,
     with A = alpha_integral_corrected(q, alpha), the n Euler integrals
     collapsed into one; ``route="series"`` sums the n series, the
     independent check where it converges.  Both are alpha-invariant for
-    admissible alpha.  Without an alpha, the integral is taken on
-    q / max q at alpha = 1, the same as alpha = 1/max q^2 but with no
-    q^2 formed, so axes below 1e-154 do not overflow it; the series
-    takes :func:`default_alpha`.
+    admissible alpha, so a caller's alpha is only checked.  Both routes
+    run on q / max q and multiply by max q once: the integral at
+    alpha = 1, the series at :func:`default_alpha` of q / max q, or at
+    alpha * max q^2 when an alpha is given.
     """
     cfg = cfg or QuadConfig()
-    q = e.inverse_axes()
     n = e.n
     if route not in ("series", "integral"):
         raise ValueError(f"route must be 'series' or 'integral', got {route!r}")
+    if alpha is not None:
+        check_alpha_admissible(e.inverse_axes(), alpha)
+    m, q_hat = scaled_inverse_axes(e.inverse_axes())
     if route == "integral":
-        scale = n * gamma_half_ratio(n, 1) / math.sqrt(math.pi)
-        if alpha is None:
-            # A is 1-homogeneous in q: integrate on q / max q at alpha = 1,
-            # where no q^2 can overflow, and scale back by max q
-            m = float(q.max())
-            res = alpha_integral_corrected(q / m, 1.0, cfg)
-            scale *= m
-        else:
-            res = alpha_integral_corrected(q, alpha, cfg)
+        res = alpha_integral_corrected(q_hat, 1.0, cfg)
+        scale = n * gamma_half_ratio(n, 1) / math.sqrt(math.pi) * m
         return Estimate(value=scale * res.value, abs_error=scale * res.est_error,
                         method="lauricella", evals=res.evals, seed=None,
                         converged=res.converged)
-    if alpha is None:
-        alpha = default_alpha(q)
-    q2 = q * q
-    x = check_alpha_admissible(q, alpha)
+    alpha_hat = default_alpha(q_hat) if alpha is None else alpha * m * m
+    q2 = q_hat * q_hat
+    x = check_alpha_admissible(q_hat, alpha_hat)
     fs = [fd_series(FdParams(0.5, eta_vector(n, j), 0.5 * n + 1.0, x), tol=cfg.rel_tol)
           for j in range(n)]
-    root_alpha = math.sqrt(alpha)
-    return Estimate(value=root_alpha * sum(w * f.value for w, f in zip(q2, fs)),
-                    abs_error=root_alpha * sum(w * f.est_error for w, f in zip(q2, fs)),
+    scale = m * math.sqrt(alpha_hat)
+    return Estimate(value=scale * sum(w * f.value for w, f in zip(q2, fs)),
+                    abs_error=scale * sum(w * f.est_error for w, f in zip(q2, fs)),
                     method="lauricella", evals=sum(f.evals for f in fs), seed=None,
                     converged=all(f.converged for f in fs))

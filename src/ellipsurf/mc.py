@@ -37,7 +37,6 @@ result bits.
 """
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -49,10 +48,6 @@ from . import geometry
 from .geometry import Ellipsoid, Estimate
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-#: Set to a truthy value to spot-check homogeneity of caller-supplied
-#: functions before estimating (debug aid, never on by default).
-_DEBUG_ENV = "ELLIPSURF_DEBUG_HOMOGENEITY"
 
 
 @dataclass(frozen=True)
@@ -104,8 +99,7 @@ class HomogeneousFn:
 
     ``eval`` maps an (m, n) array of row points to an (m,) array of
     values.  Homogeneity (eval(lam*x) = lam**d * eval(x)) is assumed,
-    not checked, unless the ELLIPSURF_DEBUG_HOMOGENEITY environment
-    variable is set; see :func:`validate_homogeneity`.
+    not checked; :func:`validate_homogeneity` spot-checks it.
     """
 
     degree: float
@@ -235,13 +229,9 @@ def _mc_mean(f: HomogeneousFn, n: int, cfg: McConfig, draw,
     # control_mean, when given, is the exact mean mu of g = f^2 under the
     # sampled measure; rows then average h = f - (g - mu) / (2 sqrt(mu)),
     # computed in the Jensen-gap form sqrt(mu) - (f - sqrt(mu))^2 / (2 sqrt(mu)).
-    # A mu that under- or overflowed float64 leaves the plain mean of f.
-    if os.environ.get(_DEBUG_ENV, "").strip().lower() in {"1", "true", "yes", "on"}:
-        validate_homogeneity(f, n, RngStream(cfg.seed, stream_id=2**32))
-
     sizes = cfg.chunk_sizes()
     root = None
-    if control_mean is not None and 0.0 < control_mean < math.inf:
+    if control_mean is not None:
         root = math.sqrt(control_mean)
         half_inv_root = 0.5 / root
 
@@ -302,14 +292,14 @@ def iso_ratio_mc(e: Ellipsoid, cfg: McConfig, route: str = "direct_sphere") -> E
     Both routes use g = f^2 as a control variate.  Its mean is exact:
     sum q_i^2 / n on the sphere and sum q_i^2 / 2 under the variance-1/2
     Gaussian.  The fixed coefficient keeps the estimate unbiased, makes
-    the unit ball exact on 'direct_sphere', and abs_error is the
-    standard error of the controlled mean.
+    every ball exact on 'direct_sphere', and abs_error is the standard
+    error of the controlled mean.  Both run on q / max q, where the mean
+    of g lies in [1/n, 1], and multiply by max q once.
     """
     n = e.n
-    q = e.inverse_axes()
-    f = sqrt_qform_fn(q)
-    with np.errstate(over="ignore"):
-        q2_sum = float(np.dot(q, q))
+    m, q_hat = geometry.scaled_inverse_axes(e.inverse_axes())
+    f = sqrt_qform_fn(q_hat)
+    q2_sum = float(np.dot(q_hat, q_hat))
     if route == "direct_sphere":
         draw, control_mean, factor, method = _draw_sphere, q2_sum / n, 1.0, "mc"
     elif route == "gaussian_transform":
@@ -320,7 +310,7 @@ def iso_ratio_mc(e: Ellipsoid, cfg: McConfig, route: str = "direct_sphere") -> E
             f"route must be 'direct_sphere' or 'gaussian_transform', got {route!r}"
         )
     mean, se = _mc_mean(f, n, cfg, draw, control_mean=control_mean)
-    return Estimate(value=n * (factor * mean), abs_error=n * (factor * se),
+    return Estimate(value=m * (n * (factor * mean)), abs_error=m * (n * (factor * se)),
                     method=method, evals=cfg.samples, seed=cfg.seed)
 
 

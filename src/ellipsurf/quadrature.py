@@ -81,7 +81,6 @@ class QuadConfig:
     """
 
     rel_tol: float = 1e-12
-    abs_tol: float = 1e-300
     max_subdivisions: int = 200
 
     def __post_init__(self):
@@ -95,7 +94,7 @@ class QuadConfig:
 class QuadResult:
     """Value with an error estimate, an eval count, and a convergence flag.
 
-    When ``converged`` is set, est_error <= rel_tol*|value| + abs_tol.
+    When ``converged`` is set, est_error <= rel_tol*|value|.
     """
 
     value: float
@@ -118,9 +117,10 @@ def check_alpha_admissible(q: Sequence[float], alpha: float) -> np.ndarray:
     """Validate |1 - alpha*q_j^2| < 1 for all j; returns x = 1 - alpha*q^2."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    # tested as 0 < alpha*q^2 < 2: 1 - alpha*q^2 rounds to 1 at tiny alpha*q^2
+    # with alpha > 0 and q > 0, only alpha*q^2 < 2 is left to test; an
+    # alpha*q^2 that underflows to 0 is still admissible
     aq2 = alpha * np.asarray(q, dtype=np.float64) ** 2
-    bad = ~((aq2 > 0.0) & (aq2 < 2.0))
+    bad = ~(aq2 < 2.0)
     if bad.any():
         j = int(np.argmax(bad))
         raise ValueError(
@@ -130,23 +130,15 @@ def check_alpha_admissible(q: Sequence[float], alpha: float) -> np.ndarray:
     return 1.0 - aq2
 
 
-def _validate_q(q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.size < 1:
-        raise ValueError("q must be a 1-D vector with at least one entry")
-    if not (np.isfinite(q).all() and (q > 0).all()):
-        raise ValueError("every q_i must be a positive finite number")
-    return q
-
-
-def _scaled_q2(q: np.ndarray):
-    """(max q, (q / max q)^2 in descending order).
+def _scaled_q2(q: Sequence[float]):
+    """(max q, (q / max q)^2 in descending order), from
+    :func:`geometry.scaled_inverse_axes`, which also validates q.
 
     The canonical order makes every result exactly permutation invariant
     instead of invariant up to summation-order ulps.
     """
-    m = float(q.max())
-    return m, np.sort((q / m) ** 2)[::-1].copy()
+    m, q_hat = geometry.scaled_inverse_axes(q)
+    return m, np.sort(q_hat * q_hat)[::-1].copy()
 
 
 def _tau_end(rate: float) -> float:
@@ -200,7 +192,7 @@ def _de_quad(g, lo: float, hi: float, width: int, cfg: QuadConfig,
         discretization = abs(fine - value) + scale * h * edge
         value = fine
         floor = _ROUNDING_FLOOR * abs(value)
-        target = cfg.rel_tol * abs(value) + cfg.abs_tol
+        target = cfg.rel_tol * abs(value)
         converged = discretization + floor <= target
         if (converged or not math.isfinite(value) or h * cfg.max_subdivisions < 2.0
                 # the floor alone misses the tolerance, and halving only
@@ -218,7 +210,7 @@ def sqrt_qform_moment(q: Sequence[float], cfg: Optional[QuadConfig] = None) -> Q
     that brute-force route is exercised in the test suite.
     """
     cfg = cfg or QuadConfig()
-    m, q2 = _scaled_q2(_validate_q(q))
+    m, q2 = _scaled_q2(q)
     centre = -math.log(float(q2.sum()))
 
     # t^(-3/2) (1 - prod) dt = t^(-1/2) (1 - prod) ds with s = log t
@@ -233,10 +225,8 @@ def sqrt_qform_moment(q: Sequence[float], cfg: Optional[QuadConfig] = None) -> Q
 
 def sphere_mean_sqrt_qform(q: Sequence[float], cfg: Optional[QuadConfig] = None) -> QuadResult:
     """Mean of sqrt(sum q_i^2 u_i^2) over S^(n-1), i.e. iso ratio / n."""
-    cfg = cfg or QuadConfig()
-    q = _validate_q(q)
-    factor = geometry.gamma_half_ratio(q.size, 1)
     base = sqrt_qform_moment(q, cfg)
+    factor = geometry.gamma_half_ratio(np.size(q), 1)
     return QuadResult(value=factor * base.value, est_error=factor * base.est_error,
                       evals=base.evals, converged=base.converged)
 
@@ -259,9 +249,8 @@ def alpha_integral_corrected(q: Sequence[float], alpha: float,
     alpha, which the test suite checks against :func:`sqrt_qform_moment`.
     """
     cfg = cfg or QuadConfig()
-    q = _validate_q(q)
-    check_alpha_admissible(q, alpha)
     m, q2 = _scaled_q2(q)
+    check_alpha_admissible(q, alpha)
     # with q = m q_hat: alpha q^2 = gamma q_hat^2 and sqrt(alpha) m^2 = m sqrt(gamma)
     gamma = alpha * m * m
     aq2 = gamma * q2
@@ -287,33 +276,30 @@ def alpha_integral_as_printed(q: Sequence[float], alpha: float,
     prod_j (1 - q_j^2 z)^(-1/2), taken literally.
 
     That product is only real for z < 1/max(q_j^2), so the integral is
-    evaluated over the largest real prefix [0, 1/max q_j^2).  When the
+    evaluated over the largest real prefix [0, 1/max q_j^2), which
+    z = u / max(q_j^2) maps onto u in [0, 1).  When the
     maximal q_j is repeated the integrand is non-integrable at the right
     endpoint and the result is flagged unconverged.  Documentation
     evaluator only; compare with :func:`alpha_integral_corrected`.
     """
     cfg = cfg or QuadConfig()
-    q = _validate_q(q)
+    m, q2 = _scaled_q2(q)
     check_alpha_admissible(q, alpha)
-    q2 = np.sort(q * q)[::-1].copy()
-    q2_max = float(q2[0])
-    z_max = 1.0 / q2_max
-    # z = z_max u, and 1 - q_j^2 z = (1 - u) + u c_j with the residual
-    # c_j = 1 - q_j^2 / max q^2 exactly zero at every maximal index
-    c = 1.0 - q2 * z_max
-    c[q2 == q2_max] = 0.0
-    degenerate = int((q2 == q2_max).sum()) > 1
+    # 1 - q_j^2 z = (1 - u) + u c_j with the residual c_j = 1 - (q_j / m)^2,
+    # exactly zero at every maximal index, where (q_j / m)^2 is exactly 1
+    c = 1.0 - q2
+    degenerate = int((q2 == 1.0).sum()) > 1
 
-    # z^(-1/2) S P dz = sqrt(z_max) u^(-1/2) S P du
+    # z^(-1/2) S(z) P(z) dz = m u^(-1/2) S_hat(u) P(z) du, S_hat being S
+    # on q / m
     def g(tau):
         log_u, log_v, log_du = _tanh_sinh(tau)
         u = np.exp(log_u)
-        z = z_max * u
-        s_term = 0.5 * (q2 / (1.0 + alpha * np.multiply.outer(z, q2))).sum(axis=-1)
+        s_term = 0.5 * (q2 / (1.0 + alpha * np.multiply.outer(u, q2))).sum(axis=-1)
         log_prod = -0.5 * np.log(np.exp(log_v)[:, None] + np.multiply.outer(u, c)).sum(axis=-1)
         return s_term * np.exp(log_prod - 0.5 * log_u + log_du)
 
     # both ends behave like the square root of their distance
     end = _tau_end(0.5 * math.pi)
-    res = _de_quad(g, -end, end, q2.size, cfg, scale=math.sqrt(alpha * z_max))
+    res = _de_quad(g, -end, end, q2.size, cfg, scale=m * math.sqrt(alpha))
     return replace(res, converged=res.converged and not degenerate)

@@ -155,6 +155,27 @@ class TestAreaCommand:
             values[method] = report["iso_ratio"]
         assert abs(values["lauricella"] - values["laplace"]) <= 1e-12 * values["laplace"]
 
+    @pytest.mark.parametrize("method", ["lauricella", "mc", "gauss", "asymptotic"])
+    def test_axis_below_1e_154_is_not_an_input_error(self, capsys, method):
+        # q_1 = 1e160: q_1^2 overflows, and (q_j / q_1)^2 underflows to 0
+        axes = "1e-160,1e100,1e100"
+        reports = {}
+        for m in ("laplace", method):
+            rc, out, _ = run_cli(capsys, "area", "--axes", axes, "--method", m,
+                                 "--samples", "20000", "--seed", "3")
+            assert rc == 0, m
+            reports[m] = json.loads(out)
+        got, ref = reports[method]["iso_ratio"], reports["laplace"]["iso_ratio"]
+        if method == "asymptotic":
+            # n Gamma(n/2) / Gamma((n+1)/2) sqrt(sum q^2 / 2), not laplace
+            q = [mp.mpf(10) ** 160, mp.mpf(10) ** -100, mp.mpf(10) ** -100]
+            ref = float(3 * mp.gamma(1.5) / mp.gamma(2) * mp.sqrt(sum(v * v for v in q) / 2))
+        if method in geometry.STOCHASTIC_METHODS:
+            sigma = reports[method]["abs_error"] / reports[method]["volume"]
+            assert abs(got - ref) <= 4.0 * sigma
+        else:
+            assert abs(got - ref) <= 1e-12 * ref
+
     def test_missing_axes_file(self, capsys):
         rc, _, err = run_cli(capsys, "area", "--axes", "@/no/such/file")
         assert rc == 2
@@ -264,6 +285,18 @@ class TestMethodTable:
             del compared[method]["wall_time_ms"]
             assert list(area.items()) == list(compared[method].items()), method
 
+    @pytest.mark.parametrize("k", [40, -40, 200, -200, 600, -600])
+    @pytest.mark.parametrize("method", list(cli.METHODS))
+    def test_ratio_exactly_homogeneous_in_powers_of_two(self, method, k):
+        # R(2^k a) == 2^-k R(a) bit for bit: every route runs on q / max q
+        args = cli.build_parser().parse_args(
+            ["area", "--axes", "1", "--samples", "4000", "--seed", "9"])
+        axes = np.array([0.3, 1.7, 2.9, 40.0])
+        base = cli.METHODS[method](geometry.Ellipsoid(axes), args)
+        scaled = cli.METHODS[method](geometry.Ellipsoid(axes * 2.0 ** k), args)
+        assert (scaled.value, scaled.abs_error) == (base.value * 2.0 ** -k,
+                                                    base.abs_error * 2.0 ** -k)
+
     def test_unknown_method_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["area", "--axes", "1,2", "--method", "warp"])
@@ -331,6 +364,28 @@ class TestCompareCommand:
         assert rel == abs(ra - rb) / max(ra, rb)
         # the asymptotic formula is off by O(1/n) on equal axes
         assert rel < 1e-12 if methods == "laplace,lauricella" else rel < 1e-5
+
+    def test_stochastic_pair_judged_on_ratios(self, capsys):
+        # both areas underflow to 0.0; the asymptotic ratio is 8.5% above
+        # the exact one on a ball of n = 3, which mc returns with sigma 0
+        rc, out, _ = run_cli(capsys, "compare", "--axes", "1e-120,1e-120,1e-120",
+                             "--methods", "asymptotic,mc", "--samples", "2000")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["methods"]["mc"]["surface_area"] == 0.0
+        (dev,) = report["deviations"]
+        assert (dev["tolerance"], dev["pass"]) == (0.0, False)
+        assert report["verdict"] == "FAIL"
+
+    def test_axes_below_1e_154_report_finite_fields(self, capsys):
+        rc, out, _ = run_cli(capsys, "compare", "--axes", "1e-200,1e-200,1e-200",
+                             "--methods", "laplace,lauricella,asymptotic,mc,gauss",
+                             "--samples", "1000")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["concentration_ratio"] == 1.0 / 3.0
+        assert "NaN" not in out and "Infinity" not in out
+        assert report["methods"]["mc"]["iso_ratio"] == 3e200
 
     def test_asymptotic_small_n_fails_honestly(self, capsys):
         rc, out, _ = run_cli(capsys, "compare", "--axes", "1,1,1",

@@ -229,13 +229,10 @@ class TestControlVariate:
         assert len(zs) >= 200
         assert 0.85 <= float(np.std(zs, ddof=1)) <= 1.15
 
-    def test_overflowing_control_mean_falls_back_to_plain(self):
-        # sum q^2 overflows float64 while every f value stays finite
-        e = Ellipsoid([1e-154, 1e-154])
-        cfg = McConfig(samples=1000, seed=1)
-        est = mc.iso_ratio_mc(e, cfg)
-        base = mc.sphere_mean_mc(mc.sqrt_qform_fn(e.inverse_axes()), 2, cfg)
-        assert (est.value, est.abs_error) == (2 * base.value, 2 * base.abs_error)
+    def test_ball_whose_sum_q2_overflows_is_exact(self):
+        # sum q^2 = 2e308 overflows float64; the route runs on q / max q
+        est = mc.iso_ratio_mc(Ellipsoid([1e-154, 1e-154]), McConfig(samples=1000, seed=1))
+        assert (est.value, est.abs_error) == (2e154, 0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
     def test_unit_ball_is_exact_on_sphere(self, n):
@@ -286,15 +283,6 @@ class TestHomogeneityValidator:
         f = HomogeneousFn(1.0, lambda x: x[:, 0] + 1.0, name="affine")
         with pytest.raises(ValueError, match="not homogeneous"):
             mc.validate_homogeneity(f, 2, RngStream(3, 0))
-
-    def test_debug_env_hooks_into_estimator(self, monkeypatch):
-        monkeypatch.setenv("ELLIPSURF_DEBUG_HOMOGENEITY", "1")
-        f = HomogeneousFn(1.0, lambda x: x[:, 0] + 1.0, name="affine")
-        with pytest.raises(ValueError, match="not homogeneous"):
-            mc.sphere_mean_mc(f, 2, CFG)
-        # good functions still estimate with the flag on
-        est = mc.sphere_mean_mc(mc.coord_square_fn(), 3, McConfig(samples=1000, seed=0))
-        assert est.evals == 1000
 
 
 class TestConfigValidation:
