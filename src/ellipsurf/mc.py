@@ -32,12 +32,17 @@ Determinism contract: an estimate is a pure function of
 (samples, seed, chunk_size).  Samples are split into fixed chunks, chunk
 c is generated from the counter-based Philox stream keyed by
 (seed, c), and per-chunk statistics are merged pairwise in chunk order.
-Worker-thread count (ELLIPSURF_THREADS) therefore cannot change the
-result bits.
+Within a chunk, rows are drawn and evaluated in order, in blocks of
+:func:`_kernels.row_block` rows, at most 2^20 float64 values (8 MB), so
+memory stays bounded at any n.  The stream drawn block by block is the
+stream drawn whole, and the block size is a function of n alone (see
+:func:`_kernels.row_block` for when each row keeps the bits of a
+whole-chunk evaluation).  Chunks run on the worker pool of
+:func:`_kernels.ordered_map`, so the worker-thread count
+(ELLIPSURF_THREADS) cannot change the result bits.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -235,24 +240,28 @@ def _mc_mean(f: HomogeneousFn, n: int, cfg: McConfig, draw,
         root = math.sqrt(control_mean)
         half_inv_root = 0.5 / root
 
-    def run_chunk(c: int):
-        gen = RngStream(cfg.seed, stream_id=c).generator()
-        pts = draw(gen, sizes[c], n)
+    block = _kernels.row_block(n)
+
+    def run_rows(gen: np.random.Generator, rows: int) -> np.ndarray:
+        pts = draw(gen, rows, n)
         v = np.asarray(f.eval(pts), dtype=np.float64)
         _check_finite(v, pts, f.name)
+        return v
+
+    def run_chunk(c: int):
+        gen = RngStream(cfg.seed, stream_id=c).generator()
+        rows = sizes[c]
+        if rows <= block:
+            v = run_rows(gen, rows)
+        else:
+            v = np.concatenate([run_rows(gen, min(block, rows - i))
+                                for i in range(0, rows, block)])
         if root is not None:
             d = v - root
             v = root - d * (d * half_inv_root)
         return _chunk_stats(v)
 
-    workers = min(_kernels.backend_threads(), len(sizes))
-    if workers <= 1 or len(sizes) == 1:
-        stats = [run_chunk(c) for c in range(len(sizes))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(run_chunk, range(len(sizes))))
-
-    count, mean, m2 = _pairwise_merge(stats)
+    count, mean, m2 = _pairwise_merge(_kernels.ordered_map(run_chunk, range(len(sizes))))
     stderr = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
     return mean, stderr
 

@@ -26,10 +26,13 @@ in a variable tau after a double-exponential change of variable
 
 The tau interval ends where the transformed integrand has fallen by
 exp(-40), rounded out to the first step.  The step starts at h = 1/2 and
-halves; each level adds only the odd multiples of the new step, and
-evaluates them as one block of nodes of at most about 2^20 float64
-elements, so at n = 1e6 a block is one node.  The error estimate of the
-finer sum T_(h/2) is |T_h - T_(h/2)|, plus the edge-node terms, plus a
+halves; each level adds only the odd multiples of the new step, cut
+into blocks of nodes of at most about 2^20 float64 elements
+(_kernels.BLOCK_ELEMENTS), so at n = 1e6 a block is one node.  The
+blocks of a level run on the worker pool of :func:`_kernels.ordered_map`.
+A node's value does not depend on the block it falls in, so neither the
+block size nor the thread count changes the bits.  The error estimate of
+the finer sum T_(h/2) is |T_h - T_(h/2)|, plus the edge-node terms, plus a
 float64 rounding floor of 1024 eps |value| (2.3e-13 relative), which
 no tolerance below it can get past.
 
@@ -66,9 +69,6 @@ _H0 = 0.5
 
 #: The tau interval ends where the integrand has decayed by exp(-_DECAY).
 _DECAY = 40.0
-
-#: Largest number of float64 elements one node block may hold (8 MB).
-_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,15 @@ def check_alpha_admissible(q: Sequence[float], alpha: float) -> np.ndarray:
     """Validate |1 - alpha*q_j^2| < 1 for all j; returns x = 1 - alpha*q^2."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    # with alpha > 0 and q > 0, only alpha*q^2 < 2 is left to test; an
-    # alpha*q^2 that underflows to 0 is still admissible
-    aq2 = alpha * np.asarray(q, dtype=np.float64) ** 2
-    bad = ~(aq2 < 2.0)
+    # with alpha > 0 and q > 0, only alpha*q^2 < 2 is left to test, as
+    # gamma q_hat^2 with gamma = alpha m^2 and q_hat = q / m <= 1, so no
+    # array square overflows; an alpha*q^2 that underflows to 0 is still
+    # admissible.  A gamma that overflows fails at q_hat = 1, and its
+    # product with a q_hat^2 that underflowed is nan, which >= skips.
+    m, q_hat = geometry.scaled_inverse_axes(q)
+    with np.errstate(invalid="ignore"):
+        aq2 = (float(alpha) * m * m) * (q_hat * q_hat)
+    bad = aq2 >= 2.0
     if bad.any():
         j = int(np.argmax(bad))
         raise ValueError(
@@ -167,14 +172,18 @@ def _de_quad(g, lo: float, hi: float, width: int, cfg: QuadConfig,
     (scale > 0).
 
     ``g`` maps a vector of tau to the transformed integrand at each node
-    and is called on blocks of at most _BLOCK_ELEMENTS // width nodes,
-    ``width`` being the float64 elements one node costs.  ``lo`` and
-    ``hi`` are multiples of the first step.
+    and is called on blocks of at most _kernels.BLOCK_ELEMENTS // width
+    nodes, ``width`` being the float64 elements one node costs, on the
+    worker threads of :func:`_kernels.ordered_map`.  ``lo`` and ``hi``
+    are multiples of the first step.
     """
-    block = max(1, _BLOCK_ELEMENTS // width)
+    block = max(1, _kernels.BLOCK_ELEMENTS // width)
 
     def nodes(tau):
-        return np.concatenate([g(tau[i:i + block]) for i in range(0, tau.size, block)])
+        if tau.size <= block:
+            return g(tau)
+        return np.concatenate(_kernels.ordered_map(
+            g, [tau[i:i + block] for i in range(0, tau.size, block)]))
 
     h = _H0
     count = int(round((hi - lo) / h))

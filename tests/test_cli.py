@@ -245,6 +245,15 @@ class TestAreaCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_inadmissible_alpha_on_tiny_axis_exits_2_under_warnings_as_errors(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ellipsurf.cli", "area", "--method",
+             "lauricella", "--alpha", "0.5", "--axes", "1e-160,1"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert "inadmissible" in proc.stderr
+        assert "Warning" not in proc.stderr
+
     def test_volume_overflow_is_input_error(self, capsys):
         rc, _, err = run_cli(capsys, "area", "--axes", ",".join(["1e5"] * 100),
                              "--method", "asymptotic")

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -59,3 +61,46 @@ def test_backend_threads_env(monkeypatch):
     monkeypatch.setenv("ELLIPSURF_THREADS", "junk")
     with pytest.raises(ValueError):
         _kernels.backend_threads()
+
+
+def test_ordered_map_keeps_order_on_threads(monkeypatch):
+    monkeypatch.setenv("ELLIPSURF_THREADS", "3")
+    assert _kernels.ordered_map(lambda i: i * i, range(50)) == [i * i for i in range(50)]
+
+
+@pytest.mark.parametrize("threads, items", [("4", [7]), ("1", [7, 8, 9])])
+def test_ordered_map_runs_inline_without_a_pool(monkeypatch, threads, items):
+    monkeypatch.setenv("ELLIPSURF_THREADS", threads)
+    caller = threading.get_ident()
+    assert _kernels.ordered_map(lambda _: threading.get_ident(), items) == [caller] * len(items)
+
+
+@pytest.mark.parametrize("n", [1, 3, 100, 1000, 3000, 2**20, 3 * 10**6])
+def test_row_block_is_a_power_of_two_within_budget(n):
+    rows = _kernels.row_block(n)
+    assert rows & (rows - 1) == 0
+    assert rows * n <= _kernels.BLOCK_ELEMENTS or rows == 1
+    assert 2 * rows * n > _kernels.BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_row_sqrt_qform_rows_match_whole_batch_in_power_of_two_blocks(blas_threads):
+    # OpenBLAS computes the last (slice rows mod 4) rows of each thread's
+    # slice with another kernel; power-of-two blocks of >= 4 rows per
+    # thread leave none.  Pinned per BLAS thread count in a fresh process.
+    code = (
+        "import numpy as np\n"
+        "from ellipsurf import _kernels\n"
+        "gen = np.random.Generator(np.random.Philox(key=np.array([12, 0], dtype=np.uint64)))\n"
+        "x = gen.standard_normal((4096, 300))\n"
+        "q2 = gen.uniform(0.1, 4.0, size=300)\n"
+        "whole = _kernels.row_sqrt_qform(x, q2).tobytes()\n"
+        "for rows in (8, 64, 1024):\n"
+        "    parts = [_kernels.row_sqrt_qform(x[i:i + rows].copy(), q2)\n"
+        "             for i in range(0, 4096, rows)]\n"
+        "    assert np.concatenate(parts).tobytes() == whole, rows\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

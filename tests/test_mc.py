@@ -72,6 +72,47 @@ class TestDeterminism:
         assert serial.value == threaded.value
         assert serial.abs_error == threaded.abs_error
 
+    @pytest.mark.parametrize("route", ["direct_sphere", "gaussian_transform"])
+    def test_bit_identical_across_worker_counts_with_row_blocks(self, monkeypatch, route):
+        # three default chunks, each drawn in several row blocks
+        e = Ellipsoid(np.random.default_rng(2).uniform(0.5, 3.0, 1000))
+        cfg = McConfig(samples=140_000, seed=5)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ELLIPSURF_THREADS", threads)
+            runs.append(mc.iso_ratio_mc(e, cfg, route=route))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("estimator, f", [(mc.sphere_mean_mc, mc.coord_square_fn()),
+                                              (mc.gaussian_mean_mc, mc.lp_norm_fn(1.0))])
+    def test_row_block_size_leaves_bits_unchanged(self, monkeypatch, estimator, f):
+        # the stream drawn in row blocks is the stream drawn whole; f here
+        # is free of BLAS (see test_kernels for row_sqrt_qform)
+        cfg = McConfig(samples=3 * 4096 + 100, seed=6, chunk_size=4096)
+        blocked = estimator(f, 1000, cfg)
+        monkeypatch.setattr(mc._kernels, "BLOCK_ELEMENTS", 4096 * 1000)
+        assert estimator(f, 1000, cfg) == blocked
+
+    @pytest.mark.parametrize("n", [1000, 3000, 300_000])
+    def test_draws_stay_within_block_budget(self, monkeypatch, n):
+        shapes = []
+
+        def recording(draw):
+            def wrapped(gen, m, k):
+                shapes.append((m, k))
+                return draw(gen, m, k)
+            return wrapped
+
+        for name in ("_draw_sphere", "_draw_gauss"):
+            monkeypatch.setattr(mc, name, recording(getattr(mc, name)))
+        e = Ellipsoid(np.full(n, 2.0))
+        samples = max(3, 20 * mc._kernels.BLOCK_ELEMENTS // n)
+        cfg = McConfig(samples=samples, seed=1, chunk_size=-(-samples // 3))
+        for route in ("direct_sphere", "gaussian_transform"):
+            mc.iso_ratio_mc(e, cfg, route=route)
+        assert sum(m for m, _ in shapes) == 2 * samples
+        assert all(m * k <= mc._kernels.BLOCK_ELEMENTS and k == n for m, k in shapes)
+
     def test_bit_identical_across_runs(self):
         cfg = McConfig(samples=30_000, seed=77, chunk_size=7001)
         a = mc.sphere_mean_mc(mc.coord_square_fn(), 5, cfg)

@@ -156,13 +156,25 @@ class TestNodeBlocks:
         monkeypatch.setattr(quadrature._kernels, "sum_log1p", recording)
         res = sqrt_qform_moment(np.ones(10**6))
         assert res.converged
-        assert max(sizes) <= quadrature._BLOCK_ELEMENTS
+        assert max(sizes) <= quadrature._kernels.BLOCK_ELEMENTS
 
     def test_block_size_leaves_bits_unchanged(self, monkeypatch):
         q = [0.3, 2.2, 1.1, 0.9, 1.7]
         whole = sqrt_qform_moment(q)
-        monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 3)
+        monkeypatch.setattr(quadrature._kernels, "BLOCK_ELEMENTS", 3)
         assert sqrt_qform_moment(q) == whole
+
+    @pytest.mark.parametrize("method", ["laplace", "lauricella"])
+    def test_thread_count_leaves_bits_unchanged(self, monkeypatch, method):
+        # at n = 1e5 a block is 10 nodes, so every level has several blocks
+        route = {"laplace": iso_ratio_quad, "lauricella": iso_ratio_lauricella}[method]
+        e = Ellipsoid(np.random.default_rng(4).uniform(1.0, 2.0, 10**5))
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ELLIPSURF_THREADS", threads)
+            runs.append(route(e))
+        assert runs[0].converged
+        assert runs[0] == runs[1]
 
 
 class TestNormFromRatio:
@@ -227,6 +239,13 @@ class TestAlphaIntegrals:
             alpha_integral_corrected([1.0, 2.0], 1.0)  # |1 - 4| = 3 >= 1
         with pytest.raises(ValueError):
             alpha_integral_as_printed([1.0, 2.0], 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q", [[1e160, 1.0], [1e160, 1e-10], [1e-10, 1e160]])
+    def test_inadmissible_alpha_on_huge_q_raises_no_warning(self, q):
+        # alpha q^2 overflows, and (q_j / max q)^2 may underflow to 0
+        with pytest.raises(ValueError, match=r"q_%d\^2\| = inf" % (1 + int(np.argmax(q)))):
+            check_alpha_admissible(q, 0.5)
 
     def test_default_alpha_centers_and_admits(self):
         for axes in ([1.0, 2.0], [1.0, 1000.0], [0.3, 0.31]):
