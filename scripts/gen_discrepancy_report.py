@@ -6,17 +6,70 @@ as-printed and corrected readings for the reference cases and writes
 the comparison table.  Run from the repository root:
 
     python3 scripts/gen_discrepancy_report.py
+
+The corrected reading, with the product term (1 + alpha q_j^2 z)^(-1/2),
+is ``ellipsurf.quadrature.alpha_integral_corrected``.  The reading as it
+is sometimes (mis)printed, with (1 - q_j^2 z)^(-1/2), is only real on a
+prefix of the half line; :func:`alpha_integral_as_printed` below
+evaluates it there to document the discrepancy, and nothing in the
+package calls it.
 """
 
 import math
 import pathlib
 import sys
+from dataclasses import replace
+from typing import Optional, Sequence
+
+import numpy as np
 
 from ellipsurf.quadrature import (
-    alpha_integral_as_printed,
+    QuadConfig,
+    QuadResult,
+    _de_quad,
+    _scaled_q2,
+    _tanh_sinh,
+    _tau_end,
     alpha_integral_corrected,
+    check_alpha_admissible,
     sqrt_qform_moment,
 )
+
+
+def alpha_integral_as_printed(q: Sequence[float], alpha: float,
+                              cfg: Optional[QuadConfig] = None) -> QuadResult:
+    """The integral of :func:`alpha_integral_corrected` with the product
+    term read as prod_j (1 - q_j^2 z)^(-1/2), taken literally.
+
+    That product is only real for z < 1/max(q_j^2), so the integral is
+    evaluated over the largest real prefix [0, 1/max q_j^2), which
+    z = u / max(q_j^2) maps onto u in [0, 1).  When the
+    maximal q_j is repeated the integrand is non-integrable at the right
+    endpoint and the result is flagged unconverged.  Documentation
+    evaluator only; compare with :func:`alpha_integral_corrected`.
+    """
+    cfg = cfg or QuadConfig()
+    m, q2 = _scaled_q2(q)
+    check_alpha_admissible(q, alpha)
+    # 1 - q_j^2 z = (1 - u) + u c_j with the residual c_j = 1 - (q_j / m)^2,
+    # exactly zero at every maximal index, where (q_j / m)^2 is exactly 1
+    c = 1.0 - q2
+    degenerate = int((q2 == 1.0).sum()) > 1
+
+    # z^(-1/2) S(z) P(z) dz = m u^(-1/2) S_hat(u) P(z) du, S_hat being S
+    # on q / m
+    def g(tau):
+        log_u, log_v, log_du = _tanh_sinh(tau)
+        u = np.exp(log_u)
+        s_term = 0.5 * (q2 / (1.0 + alpha * np.multiply.outer(u, q2))).sum(axis=-1)
+        log_prod = -0.5 * np.log(np.exp(log_v)[:, None] + np.multiply.outer(u, c)).sum(axis=-1)
+        return s_term * np.exp(log_prod - 0.5 * log_u + log_du)
+
+    # both ends behave like the square root of their distance
+    end = _tau_end(0.5 * math.pi)
+    res = _de_quad(g, -end, end, q2.size, cfg, scale=m * math.sqrt(alpha))
+    return replace(res, converged=res.converged and not degenerate)
+
 
 CASES = [
     ((1.0,), 1.0),

@@ -16,25 +16,19 @@ from .bounds import (
     ConcentrationDiagnostic,
     bounds_l2,
     concentration_diagnostic,
-    elementary_symmetric,
     gamma_ratio_asymptotic_check,
     iso_ratio_asymptotic,
     lp_norm,
-    mean_lp_norm_asymptotic,
 )
 from .geometry import (
     Ellipsoid,
     Estimate,
-    SphereConstants,
     VolumeOverflowError,
-    cauchy_mean_projection,
     ellipsoid_volume,
     gamma_half_ratio,
     log_ellipsoid_volume,
     log_unit_ball_volume,
     log_unit_sphere_area,
-    projection_volume,
-    sphere_constants,
     surface_area,
     unit_ball_volume,
     unit_sphere_area,
@@ -47,17 +41,13 @@ from .mc import (
     gaussian_mean_mc,
     iso_ratio_mc,
     lp_norm_fn,
-    mean_lp_norm_mc,
-    sample_sphere,
     sphere_mean_mc,
     sphere_mean_via_gaussian,
     sqrt_qform_fn,
-    validate_homogeneity,
 )
 from .quadrature import (
     QuadConfig,
     QuadResult,
-    alpha_integral_as_printed,
     alpha_integral_corrected,
     default_alpha,
     iso_ratio_quad,
@@ -78,15 +68,11 @@ __all__ = [
     "QuadConfig",
     "QuadResult",
     "RngStream",
-    "SphereConstants",
     "VolumeOverflowError",
-    "alpha_integral_as_printed",
     "alpha_integral_corrected",
     "bounds_l2",
-    "cauchy_mean_projection",
     "concentration_diagnostic",
     "default_alpha",
-    "elementary_symmetric",
     "ellipsoid_volume",
     "eta_vector",
     "fd_integral",
@@ -103,11 +89,6 @@ __all__ = [
     "log_unit_sphere_area",
     "lp_norm",
     "lp_norm_fn",
-    "mean_lp_norm_asymptotic",
-    "mean_lp_norm_mc",
-    "projection_volume",
-    "sample_sphere",
-    "sphere_constants",
     "sphere_mean_mc",
     "sphere_mean_sqrt_qform",
     "sphere_mean_via_gaussian",
@@ -116,5 +97,4 @@ __all__ = [
     "surface_area",
     "unit_ball_volume",
     "unit_sphere_area",
-    "validate_homogeneity",
 ]

@@ -22,25 +22,19 @@ BLOCK_ELEMENTS = 1 << 20
 
 
 def row_sqrt_qform(x, q2):
-    """sqrt(sum_j q2[j] * x[i,j]^2) for every row i."""
-    return np.sqrt((x * x) @ q2)
+    """sqrt(sum_j q2[j] * x[i,j]^2) for every row i.
+
+    einsum without ``optimize`` sums each row in its own loop and never
+    calls BLAS, so a row's bits depend on that row alone: not on the
+    rows batched with it, nor on the BLAS thread count.
+    """
+    return np.sqrt(np.einsum("ij,ij,j->i", x, x, q2))
 
 
 def row_block(n: int) -> int:
-    """Rows per block of an (m, n) row batch: the largest power of two
-    whose rows hold at most BLOCK_ELEMENTS values (at least one row).
-
-    ``row_sqrt_qform``'s matrix-vector product runs in OpenBLAS, which
-    splits the rows evenly over its threads, in slices of at least 4
-    rows, and computes the last (slice rows mod 4) rows of each slice
-    with another kernel, so in another summation order.  When OpenBLAS
-    runs a power-of-two number of threads (its default on a power-of-two
-    core count), every slice of a power-of-two batch of at least 4 rows
-    is a multiple of 4 rows.  So blocks of at least 4 rows (n <= 2^18)
-    of a power-of-two chunk give each row the bits of a whole-chunk
-    product; smaller blocks can change a row's last bits.
-    """
-    return 1 << (max(1, BLOCK_ELEMENTS // n).bit_length() - 1)
+    """Rows per block of an (m, n) row batch: as many as hold at most
+    BLOCK_ELEMENTS values, and at least one."""
+    return max(1, BLOCK_ELEMENTS // n)
 
 
 def row_norm(x):

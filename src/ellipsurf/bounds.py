@@ -64,17 +64,6 @@ def iso_ratio_asymptotic(e: Ellipsoid) -> Estimate:
                     evals=1, seed=None)
 
 
-def mean_lp_norm_asymptotic(n: int, p: float) -> float:
-    """Large-n sphere mean of the L^p norm:
-    gamma_half_ratio(n,1) * (n * Gamma((p+1)/2) / sqrt(pi))^(1/p)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
-    inner = n * math.exp(math.lgamma(0.5 * (p + 1))) / math.sqrt(math.pi)
-    return geometry.gamma_half_ratio(n, 1) * inner ** (1.0 / p)
-
-
 def lp_norm(q: Sequence[float], p: float) -> float:
     """(sum |q_i|^p)^(1/p), scaled by max|q_i| to avoid overflow."""
     if not p > 0:
@@ -84,21 +73,6 @@ def lp_norm(q: Sequence[float], p: float) -> float:
     if m == 0.0:
         return 0.0
     return m * float(((q / m) ** p).sum()) ** (1.0 / p)
-
-
-def elementary_symmetric(values: Sequence[float], k: int) -> float:
-    """k-th elementary symmetric function, by the one-pass ascending
-    coefficient recurrence (sigma_0 = 1)."""
-    values = np.asarray(values, dtype=np.float64)
-    n = values.size
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for i, v in enumerate(values):
-        for j in range(min(k, i + 1), 0, -1):
-            e[j] += v * e[j - 1]
-    return float(e[k])
 
 
 def gamma_ratio_asymptotic_check(x: float, y: float) -> float:

@@ -261,7 +261,10 @@ def _axes_for_law(law: str, n: int, seed: int):
         return [v] * n
     if kind == "zipf-like":
         s = float(rest)
-        return [float(i) ** s for i in range(1, n + 1)]
+        try:
+            return [float(i) ** s for i in range(1, n + 1)]
+        except OverflowError:
+            raise ValueError(f"axis law {law!r} overflows float64 at n = {n}") from None
     raise ValueError(
         f"unknown axis law {law!r}; expected uniform:lo,hi | equal:v | zipf-like:exponent"
     )

@@ -35,9 +35,6 @@ STOCHASTIC_METHODS = ("mc", "gauss")
 #: Largest log-volume that still exponentiates to a finite float64.
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
-#: Unit vectors must satisfy | ||u|| - 1 | <= this; no silent renormalizing.
-UNIT_NORM_TOL = 1e-12
-
 
 class VolumeOverflowError(OverflowError):
     """A linear volume/area does not fit in float64.
@@ -77,24 +74,6 @@ def log_unit_ball_volume(n: int) -> float:
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball B^n (B^0 is a point with volume 1)."""
     return math.exp(log_unit_ball_volume(n))
-
-
-@dataclass(frozen=True)
-class SphereConstants:
-    """Area of S^n and volume of B^n, in linear and log form."""
-
-    n: int
-    omega: float
-    kappa: float
-    log_omega: float
-    log_kappa: float
-
-
-def sphere_constants(n: int) -> SphereConstants:
-    lo = log_unit_sphere_area(n)
-    lk = log_unit_ball_volume(n)
-    return SphereConstants(n=int(n), omega=math.exp(lo), kappa=math.exp(lk),
-                           log_omega=lo, log_kappa=lk)
 
 
 #: From this argument up, log-gamma ratios come from Stirling's series.
@@ -277,33 +256,6 @@ def ellipsoid_volume(e: Ellipsoid) -> float:
     return math.exp(lv)
 
 
-def projection_volume(e: Ellipsoid, u: Sequence[float]) -> float:
-    """(n-1)-volume of the shadow of the ellipsoid along unit direction u.
-
-    Equals kappa_(n-1) * sqrt(sum u_i^2 q_i^2) * prod(a_i).  The caller
-    must pass a unit vector; nothing is renormalized here because a
-    non-unit u always indicates an upstream bug.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (e.n,):
-        raise ValueError(f"direction has shape {u.shape}, expected ({e.n},)")
-    norm = float(np.sqrt((u * u).sum()))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(
-            f"direction must be a unit vector to within {UNIT_NORM_TOL}; got norm {norm!r}"
-        )
-    q = e.inverse_axes()
-    quad = float(((u * q) ** 2).sum())
-    lv = (log_unit_ball_volume(e.n - 1)
-          + e._log_axes_sum
-          + 0.5 * math.log(quad))
-    if lv > _LOG_FLOAT_MAX:
-        raise VolumeOverflowError(
-            f"projection volume overflows float64 (log value = {lv:.6g})", log_value=lv
-        )
-    return math.exp(lv)
-
-
 def surface_area(e: Ellipsoid, ratio: Estimate) -> Estimate:
     """Surface area from an isoperimetric-ratio estimate: S = R * volume.
 
@@ -322,19 +274,3 @@ def surface_area(e: Ellipsoid, ratio: Estimate) -> Estimate:
         converged=ratio.converged,
     )
 
-
-def cauchy_mean_projection(e: Ellipsoid, mean_vu: float) -> float:
-    """Surface area from the spherical mean of shadow volumes.
-
-    For a convex body K in R^n, the surface area equals
-    (n-1) * (omega_(n-1)/omega_(n-2)) * mean over S^(n-1) of V_u(K).
-    Consistency with :func:`surface_area` is a test property, not
-    enforced here.
-    """
-    if e.n < 2:
-        raise ValueError("the mean-projection formula needs dimension n >= 2")
-    if not mean_vu > 0.0:
-        raise ValueError(f"mean projection volume must be positive, got {mean_vu}")
-    n = e.n
-    ratio = math.exp(log_unit_sphere_area(n - 1) - log_unit_sphere_area(n - 2))
-    return (n - 1) * ratio * mean_vu

@@ -35,9 +35,9 @@ c is generated from the counter-based Philox stream keyed by
 Within a chunk, rows are drawn and evaluated in order, in blocks of
 :func:`_kernels.row_block` rows, at most 2^20 float64 values (8 MB), so
 memory stays bounded at any n.  The stream drawn block by block is the
-stream drawn whole, and the block size is a function of n alone (see
-:func:`_kernels.row_block` for when each row keeps the bits of a
-whole-chunk evaluation).  Chunks run on the worker pool of
+stream drawn whole, and every row kernel evaluates each row on its own,
+without BLAS, so neither the block size nor the BLAS thread count can
+change a row's bits.  Chunks run on the worker pool of
 :func:`_kernels.ordered_map`, so the worker-thread count
 (ELLIPSURF_THREADS) cannot change the result bits.
 """
@@ -104,7 +104,7 @@ class HomogeneousFn:
 
     ``eval`` maps an (m, n) array of row points to an (m,) array of
     values.  Homogeneity (eval(lam*x) = lam**d * eval(x)) is assumed,
-    not checked; :func:`validate_homogeneity` spot-checks it.
+    not checked.
     """
 
     degree: float
@@ -135,41 +135,6 @@ def coord_abs_pow_fn(p: float, index: int = 0) -> HomogeneousFn:
 def coord_square_fn(index: int = 0) -> HomogeneousFn:
     """f(x) = x_index^2, homogeneous of degree 2."""
     return HomogeneousFn(2.0, lambda x: x[:, index] ** 2, name=f"x{index}^2")
-
-
-def sample_sphere(n: int, rng: RngStream) -> np.ndarray:
-    """One point drawn uniformly from S^(n-1).
-
-    The measure-zero event of a zero Gaussian vector is retried, never
-    returned.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    gen = rng.generator()
-    while True:
-        x = gen.standard_normal(n)
-        norm = float(np.sqrt((x * x).sum()))
-        if norm > 0.0:
-            return x / norm
-
-
-def validate_homogeneity(f: HomogeneousFn, n: int, rng: RngStream,
-                         rel_tol: float = 1e-10) -> None:
-    """Spot-check f(lam x) = lam^d f(x) at 8 random points, lam in {0.5, 2}."""
-    gen = rng.generator()
-    x = gen.standard_normal((8, n))
-    base = np.asarray(f.eval(x), dtype=np.float64)
-    for lam in (0.5, 2.0):
-        scaled = np.asarray(f.eval(lam * x), dtype=np.float64)
-        expected = lam ** f.degree * base
-        bad = np.abs(scaled - expected) > rel_tol * np.maximum(np.abs(expected), 1e-300)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"function {f.name or f.eval!r} is not homogeneous of degree "
-                f"{f.degree}: f({lam}*x) = {scaled[i]!r} but expected {expected[i]!r} "
-                f"at x = {x[i]!r}"
-            )
 
 
 def _merge_stats(a, b):
@@ -308,7 +273,7 @@ def iso_ratio_mc(e: Ellipsoid, cfg: McConfig, route: str = "direct_sphere") -> E
     n = e.n
     m, q_hat = geometry.scaled_inverse_axes(e.inverse_axes())
     f = sqrt_qform_fn(q_hat)
-    q2_sum = float(np.dot(q_hat, q_hat))
+    q2_sum = float((q_hat * q_hat).sum())
     if route == "direct_sphere":
         draw, control_mean, factor, method = _draw_sphere, q2_sum / n, 1.0, "mc"
     elif route == "gaussian_transform":
@@ -322,7 +287,3 @@ def iso_ratio_mc(e: Ellipsoid, cfg: McConfig, route: str = "direct_sphere") -> E
     return Estimate(value=m * (n * (factor * mean)), abs_error=m * (n * (factor * se)),
                     method=method, evals=cfg.samples, seed=cfg.seed)
 
-
-def mean_lp_norm_mc(n: int, p: float, cfg: McConfig) -> Estimate:
-    """Sphere mean of the L^p norm, via the Gaussian transform."""
-    return sphere_mean_via_gaussian(lp_norm_fn(p), n, cfg)

@@ -36,17 +36,15 @@ the finer sum T_(h/2) is |T_h - T_(h/2)|, plus the edge-node terms, plus a
 float64 rounding floor of 1024 eps |value| (2.3e-13 relative), which
 no tolerance below it can get past.
 
-The module also evaluates two variants of an alternative alpha-
-parameterized integral for the same quantity: one with the product term
-as it is sometimes (mis)printed, (1 - q_j^2 z)^(-1/2), which is only
-real on a prefix of the half line, and a corrected reading with
-(1 + alpha q_j^2 z)^(-1/2), which is alpha-free and matches the
-backbone identity.  The as-printed variant exists to document the
-discrepancy, not to be trusted.
+The module also evaluates an alternative alpha-parameterized integral
+for the same quantity, with the product term read as
+(1 + alpha q_j^2 z)^(-1/2); that reading is alpha-free and matches the
+backbone identity.  The literal printed reading is evaluated only by
+``scripts/gen_discrepancy_report.py``, which documents the discrepancy.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -278,37 +276,3 @@ def alpha_integral_corrected(q: Sequence[float], alpha: float,
     end = _tau_end(1.0)
     return _de_quad(g, -end, end, q2.size, cfg, scale=m * math.sqrt(gamma))
 
-
-def alpha_integral_as_printed(q: Sequence[float], alpha: float,
-                              cfg: Optional[QuadConfig] = None) -> QuadResult:
-    """The same integral with the product term read as
-    prod_j (1 - q_j^2 z)^(-1/2), taken literally.
-
-    That product is only real for z < 1/max(q_j^2), so the integral is
-    evaluated over the largest real prefix [0, 1/max q_j^2), which
-    z = u / max(q_j^2) maps onto u in [0, 1).  When the
-    maximal q_j is repeated the integrand is non-integrable at the right
-    endpoint and the result is flagged unconverged.  Documentation
-    evaluator only; compare with :func:`alpha_integral_corrected`.
-    """
-    cfg = cfg or QuadConfig()
-    m, q2 = _scaled_q2(q)
-    check_alpha_admissible(q, alpha)
-    # 1 - q_j^2 z = (1 - u) + u c_j with the residual c_j = 1 - (q_j / m)^2,
-    # exactly zero at every maximal index, where (q_j / m)^2 is exactly 1
-    c = 1.0 - q2
-    degenerate = int((q2 == 1.0).sum()) > 1
-
-    # z^(-1/2) S(z) P(z) dz = m u^(-1/2) S_hat(u) P(z) du, S_hat being S
-    # on q / m
-    def g(tau):
-        log_u, log_v, log_du = _tanh_sinh(tau)
-        u = np.exp(log_u)
-        s_term = 0.5 * (q2 / (1.0 + alpha * np.multiply.outer(u, q2))).sum(axis=-1)
-        log_prod = -0.5 * np.log(np.exp(log_v)[:, None] + np.multiply.outer(u, c)).sum(axis=-1)
-        return s_term * np.exp(log_prod - 0.5 * log_u + log_du)
-
-    # both ends behave like the square root of their distance
-    end = _tau_end(0.5 * math.pi)
-    res = _de_quad(g, -end, end, q2.size, cfg, scale=m * math.sqrt(alpha))
-    return replace(res, converged=res.converged and not degenerate)

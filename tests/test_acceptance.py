@@ -17,12 +17,12 @@ from ellipsurf import bounds, geometry, lauricella, mc, quadrature
 from ellipsurf.geometry import Ellipsoid
 from ellipsurf.quadrature import (
     QuadConfig,
-    alpha_integral_as_printed,
     alpha_integral_corrected,
     iso_ratio_quad,
     sqrt_qform_moment,
 )
 
+from gen_discrepancy_report import alpha_integral_as_printed
 from oracles import ellipse_perimeter, ellipsoid_surface_3d
 
 

@@ -444,6 +444,13 @@ class TestConvergeCommand:
                                  "--axis-law", law)
             assert rc == 2, law
 
+    def test_overflowing_law_is_input_error(self, capsys):
+        # 2.0 ** 2000 overflows float64: exit 2, naming the law, not a traceback
+        rc, _, err = run_cli(capsys, "converge", "--dims", "2,3",
+                             "--axis-law", "zipf-like:2000")
+        assert rc == 2
+        assert "zipf-like:2000" in err
+
 
 class TestBoundsCommand:
     def test_unit_ball_check_contained(self, capsys):

@@ -76,29 +76,31 @@ def test_ordered_map_runs_inline_without_a_pool(monkeypatch, threads, items):
 
 
 @pytest.mark.parametrize("n", [1, 3, 100, 1000, 3000, 2**20, 3 * 10**6])
-def test_row_block_is_a_power_of_two_within_budget(n):
+def test_row_block_fills_the_budget(n):
     rows = _kernels.row_block(n)
-    assert rows & (rows - 1) == 0
+    assert rows >= 1
     assert rows * n <= _kernels.BLOCK_ELEMENTS or rows == 1
-    assert 2 * rows * n > _kernels.BLOCK_ELEMENTS
+    assert (rows + 1) * n > _kernels.BLOCK_ELEMENTS
 
 
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
-def test_row_sqrt_qform_rows_match_whole_batch_in_power_of_two_blocks(blas_threads):
-    # OpenBLAS computes the last (slice rows mod 4) rows of each thread's
-    # slice with another kernel; power-of-two blocks of >= 4 rows per
-    # thread leave none.  Pinned per BLAS thread count in a fresh process.
+def test_row_sqrt_qform_rows_match_whole_batch_in_any_blocks(blas_threads):
+    # a row's bits must not depend on the rows evaluated with it, for
+    # blocks of any row count; a BLAS matrix-vector product sums some
+    # rows of a slice with another kernel.  Pinned per BLAS thread count
+    # in a fresh process.
     code = (
         "import numpy as np\n"
         "from ellipsurf import _kernels\n"
         "gen = np.random.Generator(np.random.Philox(key=np.array([12, 0], dtype=np.uint64)))\n"
-        "x = gen.standard_normal((4096, 300))\n"
-        "q2 = gen.uniform(0.1, 4.0, size=300)\n"
-        "whole = _kernels.row_sqrt_qform(x, q2).tobytes()\n"
-        "for rows in (8, 64, 1024):\n"
-        "    parts = [_kernels.row_sqrt_qform(x[i:i + rows].copy(), q2)\n"
-        "             for i in range(0, 4096, rows)]\n"
-        "    assert np.concatenate(parts).tobytes() == whole, rows\n"
+        "for m, n in ((4096, 3), (4096, 8), (4096, 300), (1200, 2000)):\n"
+        "    x = gen.standard_normal((m, n))\n"
+        "    q2 = gen.uniform(0.1, 4.0, size=n)\n"
+        "    whole = _kernels.row_sqrt_qform(x, q2).tobytes()\n"
+        "    for rows in (1, 3, 7, 8, 64, 524, 1024):\n"
+        "        parts = [_kernels.row_sqrt_qform(x[i:i + rows].copy(), q2)\n"
+        "                 for i in range(0, m, rows)]\n"
+        "        assert np.concatenate(parts).tobytes() == whole, (n, rows)\n"
     )
     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
     proc = subprocess.run([sys.executable, "-c", code], env=env,

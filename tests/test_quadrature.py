@@ -9,7 +9,6 @@ from ellipsurf.geometry import Ellipsoid
 from ellipsurf.lauricella import iso_ratio_lauricella
 from ellipsurf.quadrature import (
     QuadConfig,
-    alpha_integral_as_printed,
     alpha_integral_corrected,
     check_alpha_admissible,
     default_alpha,
@@ -18,6 +17,7 @@ from ellipsurf.quadrature import (
     sqrt_qform_moment,
 )
 
+from gen_discrepancy_report import alpha_integral_as_printed
 from oracles import ellipse_perimeter, ellipsoid_surface_3d, iso_ratio_mpmath
 
 
