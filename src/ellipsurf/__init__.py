@@ -33,7 +33,7 @@ from .geometry import (
     unit_ball_volume,
     unit_sphere_area,
 )
-from .lauricella import FdParams, eta_vector, fd_integral, fd_series, iso_ratio_lauricella
+from .lauricella import FdParams, fd_integral, fd_series, iso_ratio_lauricella
 from .mc import (
     HomogeneousFn,
     McConfig,
@@ -74,7 +74,6 @@ __all__ = [
     "concentration_diagnostic",
     "default_alpha",
     "ellipsoid_volume",
-    "eta_vector",
     "fd_integral",
     "fd_series",
     "gamma_half_ratio",

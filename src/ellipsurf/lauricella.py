@@ -2,13 +2,13 @@
 
 F_D(a; b_1..b_n; c; x_1..x_n) is evaluated two independent ways:
 
-* :func:`fd_series` sums the multi-index power series by total-degree
-  shells.  The shell sum of degree s is the coefficient of y^s in
-  prod_i (1 - x_i y)^(-b_i), so it is assembled by convolving the n
-  one-dimensional factor series instead of enumerating compositions;
-  the factor coefficients follow the incremental Pochhammer recurrence
-  and the shared ratio (a)_s / (c)_s is carried as a (sign, log) pair
-  because (c)_s overflows float64 near shell 170.
+* :func:`fd_series` sums the power series by total-degree shells.  Shell
+  s is (a)_s / (c)_s * c_s with c_s = [y^s] prod_i (1 - x_i y)^(-b_i); the
+  log of that product is sum_m p_m y^m / m with p_m = sum_i b_i x_i^m, so
+  s c_s = sum_(m=1..s) p_m c_(s-m).  |c_s| <= (B)_s r^s / s! with
+  B = sum |b_i| and r = max |x_i|, so the recurrence runs on x / r and on
+  c_s divided by (B)_s / s!, which stay within 1 where c_s overflows;
+  (a)_s (B)_s r^s / ((c)_s s!) is summed in logs.
 
 * :func:`fd_integral` evaluates the Euler-type representation
   Gamma(c)/(Gamma(a)Gamma(c-a)) * integral_0^1 u^(a-1) (1-u)^(c-a-1)
@@ -34,7 +34,8 @@ Written as Euler integrals, the q_j^2-weighted sum of the n F_D values
 collapses under z = u/(1 - u) into the one integral
 :func:`~ellipsurf.quadrature.alpha_integral_corrected`, the Laplace
 identity in another variable, which :func:`iso_ratio_lauricella`
-evaluates by default; its series route stays the independent check.
+evaluates by default; its series route (:func:`_weighted_series`) sums
+them as one series and stays the independent check.
 """
 
 import math
@@ -44,8 +45,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import Ellipsoid, Estimate, gamma_half_ratio, scaled_inverse_axes
-from .quadrature import (QuadConfig, QuadResult, _de_quad, _tanh_sinh, _tau_end,
-                         alpha_integral_corrected, check_alpha_admissible, default_alpha)
+from .quadrature import (_ROUNDING_FLOOR, QuadConfig, QuadResult, _de_quad, _tanh_sinh,
+                         _tau_end, alpha_integral_corrected, check_alpha_admissible,
+                         default_alpha)
+
+#: Largest total degree either series sums.
+_MAX_DEGREE = 2000
 
 
 @dataclass(frozen=True)
@@ -74,94 +79,70 @@ class FdParams:
         return len(self.b)
 
 
-def eta_vector(n: int, j: int) -> np.ndarray:
-    """The exponent vector (1/2 + delta_ij)_i for the j-th term."""
-    if not 0 <= j < n:
-        raise ValueError(f"j must be in [0, {n}), got {j}")
-    b = np.full(n, 0.5)
-    b[j] = 1.5
-    return b
+def _product_coeffs(b: np.ndarray, x: np.ndarray, degree: int) -> np.ndarray:
+    """c_s s! / (B)_s for s = 0..degree, as in the module docstring (B = 1 if b = 0)."""
+    big_b = float(np.abs(b).sum()) or 1.0
+    p, c, d = np.empty(degree + 1), np.ones(degree + 1), np.ones(degree + 1)
+    for s in range(1, degree + 1):
+        b = b * x  # b_i x_i^s
+        p[s] = b.sum()
+        d[:s] *= s / (big_b + s - 1)  # d[j] = c_j s! (B)_j / (j! (B)_s)
+        c[s] = d[s] = np.dot(p[s:0:-1], d[:s]) / s
+    return c
 
 
-def _factor_coeffs(b: float, x: float, degree: int) -> np.ndarray:
-    """Coefficients of (1 - x y)^(-b) up to y^degree: (b)_m x^m / m!."""
-    out = np.empty(degree + 1)
-    out[0] = 1.0
-    g = 1.0
-    for m in range(degree):
-        g = g * (b + m) * x / (m + 1)
-        out[m + 1] = g
-    return out
+def _pochhammer_ratio(num: tuple, den: tuple, degree: int, rate: float = 1.0) -> np.ndarray:
+    """rate^s prod_i (num_i)_s / prod_j (den_j)_s for s = 0..degree from summed
+    logs, since its factors alone overflow float64; zero once a num_i + s is."""
+    s = np.arange(degree)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_mag = (math.log(rate) + sum(np.log(np.abs(v + s)) for v in num)
+                   - sum(np.log(np.abs(v + s)) for v in den))
+        sign = np.prod([np.sign(v + s) for v in num + den], axis=0)
+        return np.concatenate(([1.0], np.cumprod(sign) * np.exp(np.cumsum(log_mag))))
 
 
-def _shell_coeffs(p: FdParams, degree: int) -> np.ndarray:
-    prod = _factor_coeffs(p.b[0], p.x[0], degree)
-    for i in range(1, p.n):
-        prod = np.convolve(prod, _factor_coeffs(p.b[i], p.x[i], degree))[:degree + 1]
-    return prod
+def _shell_sum(terms: np.ndarray, tail: float, tol: float) -> QuadResult:
+    """Sum the shells; claim the tail plus the quadrature rounding floor."""
+    value = float(terms.sum())
+    error = float(tail + _ROUNDING_FLOOR * abs(value))
+    return QuadResult(value=value, est_error=error, evals=terms.size,
+                      converged=math.isfinite(value) and error <= tol * abs(value))
 
 
-def _pochhammer_ratio(a: float, c: float, degree: int) -> np.ndarray:
-    """(a)_s / (c)_s for s = 0..degree, via incremental (sign, log) pairs."""
-    out = np.empty(degree + 1)
-    out[0] = 1.0
-    log_mag = 0.0
-    sign = 1.0
-    dead = False
-    for s in range(degree):
-        num = a + s
-        if dead or num == 0.0:
-            dead = True
-            out[s + 1] = 0.0
-            continue
-        log_mag += math.log(abs(num)) - math.log(abs(c + s))
-        sign *= math.copysign(1.0, num) * math.copysign(1.0, c + s)
-        out[s + 1] = sign * math.exp(log_mag)
-    return out
+def fd_series(p: FdParams, tol: float = 1e-12,
+              max_total_degree: int = _MAX_DEGREE) -> QuadResult:
+    """Sum the F_D power series by total-degree shells, to a proved tail.
 
-
-def fd_series(p: FdParams, tol: float = 1e-12, max_total_degree: int = 2000) -> QuadResult:
-    """Sum the F_D power series by total-degree shells.
-
-    Stops once the absolute shell contribution stays below
-    tol * |partial sum| for two consecutive shells; if the degree budget
-    runs out first, the partial value is returned with
-    ``converged=False``.
+    Shell s is at most beta_s = |(a)_s (B)_s r^s / ((c)_s s!)|, with B and r
+    as in the module docstring.  Once a + D, c + D > 0, beta_(s+1) / beta_s
+    <= rho_D = r max(1, (a+D)/(c+D)) max(1, (B+D)/(D+1)) for all s >= D, so the
+    shells past D sum to at most beta_(D+1) / (1 - rho_D).  D doubles from 64 up
+    to ``max_total_degree`` until that tail plus the rounding floor is at most
+    tol |value|; ``evals`` counts the shells summed last.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    x_arr = np.asarray(p.x)
-    if (np.abs(x_arr) >= 1.0).any():
-        j = int(np.argmax(np.abs(x_arr) >= 1.0))
+    x = np.asarray(p.x)
+    if (np.abs(x) >= 1.0).any():
+        j = int(np.argmax(np.abs(x) >= 1.0))
         raise ValueError(f"series route requires |x_i| < 1; |x_{j + 1}| = {abs(p.x[j])!r}")
     if p.c <= 0 and p.c == round(p.c):
         raise ValueError(f"c must not be a nonpositive integer, got {p.c}")
-
-    degree = 64
-    shells = _shell_coeffs(p, degree)
-    ratios = _pochhammer_ratio(p.a, p.c, degree)
-
-    partial = 0.0
-    below = 0
-    last = [0.0, 0.0]
-    s = 0
-    while s <= max_total_degree:
-        if s > degree:
-            degree = min(2 * degree, max_total_degree)
-            shells = _shell_coeffs(p, degree)
-            ratios = _pochhammer_ratio(p.a, p.c, degree)
-        term = ratios[s] * shells[s]
-        partial += term
-        last[s % 2] = abs(term)
-        if s >= 1 and abs(term) <= tol * max(abs(partial), 1e-300):
-            below += 1
-            if below >= 2:
-                return QuadResult(value=partial, est_error=max(last),
-                                  evals=s + 1, converged=True)
-        else:
-            below = 0
-        s += 1
-    return QuadResult(value=partial, est_error=max(last), evals=s, converged=False)
+    b = np.asarray(p.b)
+    r, big_b = float(np.abs(x).max()), float(np.abs(b).sum()) or 1.0
+    degree = min(64, max_total_degree)
+    while True:
+        s = degree + 1
+        ratios = _pochhammer_ratio((p.a, big_b), (p.c, 1.0), s, r or 1.0)
+        beta = abs(ratios[-1]) if r else 0.0
+        rho = r * max(1.0, (p.a + degree) / (p.c + degree)) * max(1.0, (big_b + degree) / s)
+        proved = p.a + degree > 0 and p.c + degree > 0 and rho < 1.0
+        res = _shell_sum(ratios[:-1] * _product_coeffs(b, x / (r or 1.0), degree),
+                         beta / (1.0 - rho) if proved else (math.inf if beta else 0.0), tol)
+        if res.converged or degree >= max_total_degree:
+            return res
+        degree = min(2 * degree, max_total_degree)
 
 
 def fd_integral(p: FdParams, cfg: Optional[QuadConfig] = None) -> QuadResult:
@@ -202,6 +183,30 @@ def fd_integral(p: FdParams, cfg: Optional[QuadConfig] = None) -> QuadResult:
                     scale=pref)
 
 
+def _weighted_series(q2: np.ndarray, alpha: float, tol: float) -> QuadResult:
+    """sum_j q2_j F_D(1/2; 1/2 + delta_1j..1/2 + delta_nj; n/2 + 1; 1 - alpha q2).
+
+    Shell s is (1/2)_s / (n/2 + 1)_s [y^s] P(y) W(y), P = prod_i (1 - x_i y)^(-1/2),
+    W = sum_j q2_j / (1 - x_j y).  Each term's exponents add up to n/2 + 1, so shell
+    s is at most sum q2 r^s; as R >= n min q bounds the value below, the degree D
+    whose tail sum q2 r^(D+1) / (1 - r) meets tol is fixed before any shell is summed.
+    With q2_j = (1 - x_j) / alpha, W = (n - 2 (1 - y) P'/P) / alpha, so shell s is
+    (n / alpha) (1/2)_s / s! (c_s - c_(s+1)) in the scaled coefficients c of P.
+    """
+    n = q2.size
+    x = 1.0 - alpha * q2
+    r = float(np.abs(x).max())
+    weight = float(q2.sum())
+    budget = (tol - _ROUNDING_FLOOR) * n * math.sqrt(q2.min() / alpha) * (1.0 - r) / weight
+    if r > 0.0 and budget > 0.0:
+        degree = min(_MAX_DEGREE, max(0, math.ceil(math.log(budget, r)) - 1))
+    else:
+        degree = 0 if r == 0.0 else _MAX_DEGREE
+    c = _product_coeffs(np.full(n, 0.5), x, degree + 1)
+    return _shell_sum((n / alpha) * _pochhammer_ratio((0.5,), (1.0,), degree) * (c[:-1] - c[1:]),
+                      weight * r ** (degree + 1) / (1.0 - r) if r < 1.0 else math.inf, tol)
+
+
 def iso_ratio_lauricella(e: Ellipsoid, alpha: Optional[float] = None,
                          route: str = "integral",
                          cfg: Optional[QuadConfig] = None) -> Estimate:
@@ -209,15 +214,14 @@ def iso_ratio_lauricella(e: Ellipsoid, alpha: Optional[float] = None,
 
     ``route="integral"`` returns n * gamma_half_ratio(n, 1) * A / sqrt(pi)
     with A = alpha_integral_corrected(q, alpha), the n Euler integrals
-    collapsed into one; ``route="series"`` sums the n series, the
-    independent check where it converges.  Both are alpha-invariant for
-    admissible alpha, so a caller's alpha is only checked.  Both routes
-    run on q / max q and multiply by max q once: the integral at
-    alpha = 1, the series at :func:`default_alpha` of q / max q, or at
-    alpha * max q^2 when an alpha is given.
+    collapsed into one; ``route="series"`` sums the n series as one, on the
+    descending squares so its bits ignore the axis order, with ``evals``
+    its shells.  Both are alpha-invariant for admissible alpha, so a
+    caller's alpha is only checked.  Both run on q / max q and multiply by
+    max q once: the integral at alpha = 1, the series at
+    :func:`default_alpha` of q / max q, or at alpha * max q^2 if given.
     """
     cfg = cfg or QuadConfig()
-    n = e.n
     if route not in ("series", "integral"):
         raise ValueError(f"route must be 'series' or 'integral', got {route!r}")
     if alpha is not None:
@@ -225,17 +229,11 @@ def iso_ratio_lauricella(e: Ellipsoid, alpha: Optional[float] = None,
     m, q_hat = scaled_inverse_axes(e.inverse_axes())
     if route == "integral":
         res = alpha_integral_corrected(q_hat, 1.0, cfg)
-        scale = n * gamma_half_ratio(n, 1) / math.sqrt(math.pi) * m
-        return Estimate(value=scale * res.value, abs_error=scale * res.est_error,
-                        method="lauricella", evals=res.evals, seed=None,
-                        converged=res.converged)
-    alpha_hat = default_alpha(q_hat) if alpha is None else alpha * m * m
-    q2 = q_hat * q_hat
-    x = check_alpha_admissible(q_hat, alpha_hat)
-    fs = [fd_series(FdParams(0.5, eta_vector(n, j), 0.5 * n + 1.0, x), tol=cfg.rel_tol)
-          for j in range(n)]
-    scale = m * math.sqrt(alpha_hat)
-    return Estimate(value=scale * sum(w * f.value for w, f in zip(q2, fs)),
-                    abs_error=scale * sum(w * f.est_error for w, f in zip(q2, fs)),
-                    method="lauricella", evals=sum(f.evals for f in fs), seed=None,
-                    converged=all(f.converged for f in fs))
+        scale = e.n * gamma_half_ratio(e.n, 1) / math.sqrt(math.pi) * m
+    else:
+        alpha_hat = default_alpha(q_hat) if alpha is None else alpha * m * m
+        res = _weighted_series(np.sort(q_hat * q_hat)[::-1], alpha_hat, cfg.rel_tol)
+        scale = m * math.sqrt(alpha_hat)
+    return Estimate(value=scale * res.value, abs_error=scale * res.est_error,
+                    method="lauricella", evals=res.evals, seed=None,
+                    converged=res.converged)

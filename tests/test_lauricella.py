@@ -6,7 +6,6 @@ import pytest
 from ellipsurf.geometry import Ellipsoid
 from ellipsurf.lauricella import (
     FdParams,
-    eta_vector,
     fd_integral,
     fd_series,
     iso_ratio_lauricella,
@@ -100,6 +99,7 @@ class TestFdIntegral:
             i = fd_integral(p)
             assert s.converged and i.converged
             assert rel_err(i.value, s.value) < 1e-8
+            assert abs(i.value - s.value) <= s.est_error + i.est_error, p
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="a > 0"):
@@ -156,6 +156,24 @@ class TestIsoRatioLauricella:
             assert est.converged, axes
             assert abs(est.value - iso_ratio_mpmath(axes)) <= est.abs_error, axes
 
+    def test_series_route_error_honest_against_mpmath(self):
+        # converged implies within the claimed error of a 30-digit oracle,
+        # on n from 1 to 24 and aspect up to 30, where the series runs out
+        # of its degree budget and has to say so
+        gen = np.random.Generator(np.random.Philox(key=np.array([67, 0], dtype=np.uint64)))
+        cases = [np.geomspace(1.0, 10.0, 8)]
+        for _ in range(15):
+            n = int(gen.integers(1, 25))
+            aspect = 10.0 ** gen.uniform(0.0, math.log10(30.0))
+            cases.append(np.concatenate(([1.0, aspect], aspect ** gen.random(n)))[:n])
+        converged = []
+        for axes in cases:
+            est = iso_ratio_lauricella(Ellipsoid(axes), route="series")
+            if est.converged:
+                assert abs(est.value - iso_ratio_mpmath(axes)) <= est.abs_error, axes
+            converged.append(est.converged)
+        assert converged[0] and sum(converged) >= len(cases) // 2
+
     def test_integral_route_moderate_dimension(self):
         # exercises the log-space integrand assembly: at n = 40 the
         # (1-u) power and the product factor each leave float64 range
@@ -179,16 +197,6 @@ class TestIsoRatioLauricella:
         # there within budget and must say so
         est = iso_ratio_lauricella(Ellipsoid([1.0, 1000.0]), route="series")
         assert not est.converged
-
-
-class TestEtaVector:
-    def test_values(self):
-        v = eta_vector(4, 2)
-        assert v.tolist() == [0.5, 0.5, 1.5, 0.5]
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            eta_vector(3, 3)
 
 
 class TestFdParams:
