@@ -19,12 +19,11 @@ import math
 import pathlib
 import sys
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ellipsurf.quadrature import (
-    QuadConfig,
     QuadResult,
     _de_quad,
     _scaled_q2,
@@ -37,7 +36,7 @@ from ellipsurf.quadrature import (
 
 
 def alpha_integral_as_printed(q: Sequence[float], alpha: float,
-                              cfg: Optional[QuadConfig] = None) -> QuadResult:
+                              tol: float = 1e-12) -> QuadResult:
     """The integral of :func:`alpha_integral_corrected` with the product
     term read as prod_j (1 - q_j^2 z)^(-1/2), taken literally.
 
@@ -48,7 +47,6 @@ def alpha_integral_as_printed(q: Sequence[float], alpha: float,
     endpoint and the result is flagged unconverged.  Documentation
     evaluator only; compare with :func:`alpha_integral_corrected`.
     """
-    cfg = cfg or QuadConfig()
     m, q2 = _scaled_q2(q)
     check_alpha_admissible(q, alpha)
     # 1 - q_j^2 z = (1 - u) + u c_j with the residual c_j = 1 - (q_j / m)^2,
@@ -67,7 +65,7 @@ def alpha_integral_as_printed(q: Sequence[float], alpha: float,
 
     # both ends behave like the square root of their distance
     end = _tau_end(0.5 * math.pi)
-    res = _de_quad(g, -end, end, q2.size, cfg, scale=m * math.sqrt(alpha))
+    res = _de_quad(g, -end, end, q2.size, tol, scale=m * math.sqrt(alpha))
     return replace(res, converged=res.converged and not degenerate)
 
 

@@ -46,12 +46,10 @@ from .mc import (
     sqrt_qform_fn,
 )
 from .quadrature import (
-    QuadConfig,
     QuadResult,
     alpha_integral_corrected,
     default_alpha,
     iso_ratio_quad,
-    sphere_mean_sqrt_qform,
     sqrt_qform_moment,
 )
 
@@ -65,7 +63,6 @@ __all__ = [
     "FdParams",
     "HomogeneousFn",
     "McConfig",
-    "QuadConfig",
     "QuadResult",
     "RngStream",
     "VolumeOverflowError",
@@ -89,7 +86,6 @@ __all__ = [
     "lp_norm",
     "lp_norm_fn",
     "sphere_mean_mc",
-    "sphere_mean_sqrt_qform",
     "sphere_mean_via_gaussian",
     "sqrt_qform_fn",
     "sqrt_qform_moment",

@@ -40,9 +40,8 @@ METHODS = {
         e, mc_mod.McConfig(samples=a.samples, seed=a.seed), route="direct_sphere"),
     "gauss": lambda e, a: mc_mod.iso_ratio_mc(
         e, mc_mod.McConfig(samples=a.samples, seed=a.seed), route="gaussian_transform"),
-    "laplace": lambda e, a: quad_mod.iso_ratio_quad(e, quad_mod.QuadConfig(rel_tol=a.tol)),
-    "lauricella": lambda e, a: lauricella_mod.iso_ratio_lauricella(
-        e, alpha=a.alpha, cfg=quad_mod.QuadConfig(rel_tol=a.tol)),
+    "laplace": lambda e, a: quad_mod.iso_ratio_quad(e, a.tol),
+    "lauricella": lambda e, a: lauricella_mod.iso_ratio_lauricella(e, alpha=a.alpha, tol=a.tol),
     "asymptotic": lambda e, a: bounds_mod.iso_ratio_asymptotic(e),
 }
 
@@ -132,8 +131,6 @@ def cmd_area(args) -> int:
     method = args.method
     if method == "auto":
         method = "laplace" if e.n <= AUTO_ASYMPTOTIC_ABOVE else "asymptotic"
-    if method == "bounds":
-        return cmd_bounds_from(e, check=False, tol=args.tol, fmt=args.format, out=args.out)
     _, shared = _method_report(e, method, args)  # before the volume, whose overflow is exit 2
     report = {"dimension": e.n, "axes_sha256": axes_sha256(e), "method": method,
               "volume": geometry.ellipsoid_volume(e), **shared}
@@ -155,7 +152,7 @@ def _bounds_report(e: Ellipsoid, check: bool, tol: float) -> dict:
         "area_upper": rep.area_upper,
     }
     if check:
-        est = quad_mod.iso_ratio_quad(e, quad_mod.QuadConfig(rel_tol=tol))
+        est = quad_mod.iso_ratio_quad(e, tol)
         rn = est.value / e.n
         out["iso_ratio_laplace"] = est.value
         out["contained"] = bool(
@@ -164,26 +161,21 @@ def _bounds_report(e: Ellipsoid, check: bool, tol: float) -> dict:
     return out
 
 
-def cmd_bounds_from(e: Ellipsoid, check: bool, tol: float, fmt: str,
-                    out: Optional[str]) -> int:
-    report = _bounds_report(e, check, tol)
-    _emit(_render_flat(report, fmt), out)
-    return 0
-
-
 def cmd_bounds(args) -> int:
     e = build_ellipsoid(parse_axes(args.axes), args.inverse)
-    return cmd_bounds_from(e, check=args.check, tol=args.tol, fmt=args.format,
-                           out=args.out)
+    _emit(_render_flat(_bounds_report(e, args.check, args.tol), args.format), args.out)
+    return 0
 
 
 def cmd_compare(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if len(methods) < 2:
         raise ValueError("compare needs at least two methods")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} is repeated; name each method once")
     e = build_ellipsoid(parse_axes(args.axes), args.inverse)
 
     ratios, per_method = {}, {}
@@ -318,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     area = sub.add_parser("area", help="compute volume, iso ratio, and surface area")
     add_axes(area)
-    area.add_argument("--method", choices=("auto", *METHODS, "bounds"), default="auto")
+    area.add_argument("--method", choices=("auto", *METHODS), default="auto")
     add_estimator_options(area)
     area.add_argument("--format", choices=("json", "csv", "text"), default="json")
     area.add_argument("--out", default=None, metavar="FILE")

@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import Ellipsoid, Estimate, gamma_half_ratio, scaled_inverse_axes
-from .quadrature import (_ROUNDING_FLOOR, QuadConfig, QuadResult, _de_quad, _tanh_sinh,
+from .quadrature import (_ROUNDING_FLOOR, QuadResult, _check_tol, _de_quad, _tanh_sinh,
                          _tau_end, alpha_integral_corrected, check_alpha_admissible,
                          default_alpha)
 
@@ -110,19 +110,17 @@ def _shell_sum(terms: np.ndarray, tail: float, tol: float) -> QuadResult:
                       converged=math.isfinite(value) and error <= tol * abs(value))
 
 
-def fd_series(p: FdParams, tol: float = 1e-12,
-              max_total_degree: int = _MAX_DEGREE) -> QuadResult:
+def fd_series(p: FdParams, tol: float = 1e-12) -> QuadResult:
     """Sum the F_D power series by total-degree shells, to a proved tail.
 
     Shell s is at most beta_s = |(a)_s (B)_s r^s / ((c)_s s!)|, with B and r
     as in the module docstring.  Once a + D, c + D > 0, beta_(s+1) / beta_s
     <= rho_D = r max(1, (a+D)/(c+D)) max(1, (B+D)/(D+1)) for all s >= D, so the
     shells past D sum to at most beta_(D+1) / (1 - rho_D).  D doubles from 64 up
-    to ``max_total_degree`` until that tail plus the rounding floor is at most
+    to ``_MAX_DEGREE`` until that tail plus the rounding floor is at most
     tol |value|; ``evals`` counts the shells summed last.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     x = np.asarray(p.x)
     if (np.abs(x) >= 1.0).any():
         j = int(np.argmax(np.abs(x) >= 1.0))
@@ -131,7 +129,7 @@ def fd_series(p: FdParams, tol: float = 1e-12,
         raise ValueError(f"c must not be a nonpositive integer, got {p.c}")
     b = np.asarray(p.b)
     r, big_b = float(np.abs(x).max()), float(np.abs(b).sum()) or 1.0
-    degree = min(64, max_total_degree)
+    degree = min(64, _MAX_DEGREE)
     while True:
         s = degree + 1
         ratios = _pochhammer_ratio((p.a, big_b), (p.c, 1.0), s, r or 1.0)
@@ -140,18 +138,17 @@ def fd_series(p: FdParams, tol: float = 1e-12,
         proved = p.a + degree > 0 and p.c + degree > 0 and rho < 1.0
         res = _shell_sum(ratios[:-1] * _product_coeffs(b, x / (r or 1.0), degree),
                          beta / (1.0 - rho) if proved else (math.inf if beta else 0.0), tol)
-        if res.converged or degree >= max_total_degree:
+        if res.converged or degree >= _MAX_DEGREE:
             return res
-        degree = min(2 * degree, max_total_degree)
+        degree = min(2 * degree, _MAX_DEGREE)
 
 
-def fd_integral(p: FdParams, cfg: Optional[QuadConfig] = None) -> QuadResult:
+def fd_integral(p: FdParams, tol: float = 1e-12) -> QuadResult:
     """Evaluate F_D through its 1-D Euler-type integral.
 
     Requires a > 0 and c - a > 0, and every x_i < 1 so the integrand has
     no pole on [0, 1].
     """
-    cfg = cfg or QuadConfig()
     if not p.a > 0:
         raise ValueError(f"integral route requires a > 0, got a = {p.a}")
     if not p.c - p.a > 0:
@@ -179,7 +176,7 @@ def fd_integral(p: FdParams, cfg: Optional[QuadConfig] = None) -> QuadResult:
         return np.exp((a - 1.0) * log_u + (c - a - 1.0) * log_v + log_prod + log_du)
 
     pref = math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a))
-    return _de_quad(g, -_tau_end(math.pi * a), _tau_end(math.pi * (c - a)), p.n, cfg,
+    return _de_quad(g, -_tau_end(math.pi * a), _tau_end(math.pi * (c - a)), p.n, tol,
                     scale=pref)
 
 
@@ -209,7 +206,7 @@ def _weighted_series(q2: np.ndarray, alpha: float, tol: float) -> QuadResult:
 
 def iso_ratio_lauricella(e: Ellipsoid, alpha: Optional[float] = None,
                          route: str = "integral",
-                         cfg: Optional[QuadConfig] = None) -> Estimate:
+                         tol: float = 1e-12) -> Estimate:
     """Isoperimetric ratio through the F_D identity.
 
     ``route="integral"`` returns n * gamma_half_ratio(n, 1) * A / sqrt(pi)
@@ -221,18 +218,18 @@ def iso_ratio_lauricella(e: Ellipsoid, alpha: Optional[float] = None,
     max q once: the integral at alpha = 1, the series at
     :func:`default_alpha` of q / max q, or at alpha * max q^2 if given.
     """
-    cfg = cfg or QuadConfig()
+    _check_tol(tol)
     if route not in ("series", "integral"):
         raise ValueError(f"route must be 'series' or 'integral', got {route!r}")
     if alpha is not None:
         check_alpha_admissible(e.inverse_axes(), alpha)
     m, q_hat = scaled_inverse_axes(e.inverse_axes())
     if route == "integral":
-        res = alpha_integral_corrected(q_hat, 1.0, cfg)
+        res = alpha_integral_corrected(q_hat, 1.0, tol)
         scale = e.n * gamma_half_ratio(e.n, 1) / math.sqrt(math.pi) * m
     else:
         alpha_hat = default_alpha(q_hat) if alpha is None else alpha * m * m
-        res = _weighted_series(np.sort(q_hat * q_hat)[::-1], alpha_hat, cfg.rel_tol)
+        res = _weighted_series(np.sort(q_hat * q_hat)[::-1], alpha_hat, tol)
         scale = m * math.sqrt(alpha_hat)
     return Estimate(value=scale * res.value, abs_error=scale * res.est_error,
                     method="lauricella", evals=res.evals, seed=None,

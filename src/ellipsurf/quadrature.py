@@ -45,7 +45,7 @@ backbone identity.  The literal printed reading is evaluated only by
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,7 +59,7 @@ _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 #: the integrands and node sums.  Against a 30-digit oracle, over n = 1..8
 #: and axes log-uniform on [1e-8, 1e8], the worst errors seen were
 #: 7.9e-15 (laplace) and 6.2e-14 (lauricella); the floor stays below a
-#: quarter of the default rel_tol 1e-12.
+#: quarter of the default tol 1e-12.
 _ROUNDING_FLOOR = 1024 * np.finfo(np.float64).eps
 
 #: First trapezoid step in tau.
@@ -68,31 +68,23 @@ _H0 = 0.5
 #: The tau interval ends where the integrand has decayed by exp(-_DECAY).
 _DECAY = 40.0
 
+#: Refinement budget: the trapezoid step halves from 1/2 only while it
+#: stays at least 1/_MAX_SUBDIVISIONS, so at most that many nodes fall on
+#: each unit of tau.
+_MAX_SUBDIVISIONS = 200
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and budgets for the quadrature evaluators.
 
-    ``max_subdivisions`` bounds the refinement: the trapezoid step halves
-    from 1/2 only while it stays at least 1/max_subdivisions, so at most
-    max_subdivisions nodes fall on each unit of tau.
-    """
-
-    rel_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not self.rel_tol >= 1e-15:
-            raise ValueError(f"rel_tol must be >= 1e-15, got {self.rel_tol}")
-        if self.max_subdivisions < 10:
-            raise ValueError(f"max_subdivisions must be >= 10, got {self.max_subdivisions}")
+def _check_tol(tol: float) -> None:
+    """Reject a relative tolerance below 1e-15 (or nan)."""
+    if not tol >= 1e-15:
+        raise ValueError(f"tol must be >= 1e-15, got {tol}")
 
 
 @dataclass(frozen=True)
 class QuadResult:
     """Value with an error estimate, an eval count, and a convergence flag.
 
-    When ``converged`` is set, est_error <= rel_tol*|value|.
+    When ``converged`` is set, est_error <= tol*|value|.
     """
 
     value: float
@@ -164,7 +156,7 @@ def _tanh_sinh(tau: np.ndarray):
     return log_u, log_v, np.log(math.pi * np.cosh(tau)) + log_u + log_v
 
 
-def _de_quad(g, lo: float, hi: float, width: int, cfg: QuadConfig,
+def _de_quad(g, lo: float, hi: float, width: int, tol: float,
              scale: float = 1.0) -> QuadResult:
     """scale * integral of g(tau) over [lo, hi] by the nested trapezoid rule
     (scale > 0).
@@ -175,6 +167,7 @@ def _de_quad(g, lo: float, hi: float, width: int, cfg: QuadConfig,
     worker threads of :func:`_kernels.ordered_map`.  ``lo`` and ``hi``
     are multiples of the first step.
     """
+    _check_tol(tol)
     block = max(1, _kernels.BLOCK_ELEMENTS // width)
 
     def nodes(tau):
@@ -199,9 +192,9 @@ def _de_quad(g, lo: float, hi: float, width: int, cfg: QuadConfig,
         discretization = abs(fine - value) + scale * h * edge
         value = fine
         floor = _ROUNDING_FLOOR * abs(value)
-        target = cfg.rel_tol * abs(value)
+        target = tol * abs(value)
         converged = discretization + floor <= target
-        if (converged or not math.isfinite(value) or h * cfg.max_subdivisions < 2.0
+        if (converged or not math.isfinite(value) or h * _MAX_SUBDIVISIONS < 2.0
                 # the floor alone misses the tolerance, and halving only
                 # shrinks the discretization term
                 or (floor > target and discretization <= floor)):
@@ -209,14 +202,13 @@ def _de_quad(g, lo: float, hi: float, width: int, cfg: QuadConfig,
                               evals=evals, converged=bool(converged))
 
 
-def sqrt_qform_moment(q: Sequence[float], cfg: Optional[QuadConfig] = None) -> QuadResult:
+def sqrt_qform_moment(q: Sequence[float], tol: float = 1e-12) -> QuadResult:
     """E[sqrt(sum q_i^2 X_i^2)] for variance-1/2 Gaussian X_i.
 
     Deterministic counterpart of the Monte Carlo estimate
     ``gaussian_mean_mc(sqrt_qform_fn(q), ...)``; the identity against
     that brute-force route is exercised in the test suite.
     """
-    cfg = cfg or QuadConfig()
     m, q2 = _scaled_q2(q)
     centre = -math.log(float(q2.sum()))
 
@@ -227,27 +219,21 @@ def sqrt_qform_moment(q: Sequence[float], cfg: Optional[QuadConfig] = None) -> Q
         return np.exp(-0.5 * s) * one_minus_prod * (2.0 * np.cosh(tau))
 
     end = _tau_end(1.0)
-    return _de_quad(g, -end, end, q2.size, cfg, scale=m / _TWO_SQRT_PI)
+    return _de_quad(g, -end, end, q2.size, tol, scale=m / _TWO_SQRT_PI)
 
 
-def sphere_mean_sqrt_qform(q: Sequence[float], cfg: Optional[QuadConfig] = None) -> QuadResult:
-    """Mean of sqrt(sum q_i^2 u_i^2) over S^(n-1), i.e. iso ratio / n."""
-    base = sqrt_qform_moment(q, cfg)
-    factor = geometry.gamma_half_ratio(np.size(q), 1)
-    return QuadResult(value=factor * base.value, est_error=factor * base.est_error,
-                      evals=base.evals, converged=base.converged)
-
-
-def iso_ratio_quad(e: Ellipsoid, cfg: Optional[QuadConfig] = None) -> Estimate:
+def iso_ratio_quad(e: Ellipsoid, tol: float = 1e-12) -> Estimate:
     """Isoperimetric ratio R = n * gamma_half_ratio(n,1) * E[sqrt(...)]."""
-    base = sphere_mean_sqrt_qform(e.inverse_axes(), cfg)
-    return Estimate(value=e.n * base.value, abs_error=e.n * base.est_error,
+    base = sqrt_qform_moment(e.inverse_axes(), tol)
+    factor = geometry.gamma_half_ratio(e.n, 1)
+    return Estimate(value=e.n * (factor * base.value),
+                    abs_error=e.n * (factor * base.est_error),
                     method="laplace", evals=base.evals, seed=None,
                     converged=base.converged)
 
 
 def alpha_integral_corrected(q: Sequence[float], alpha: float,
-                             cfg: Optional[QuadConfig] = None) -> QuadResult:
+                             tol: float = 1e-12) -> QuadResult:
     """sqrt(alpha) * integral_0^inf z^(-1/2) * S(z) * P(z) dz with
     S(z) = sum_j q_j^2 / (2 (1 + alpha z q_j^2)) and the corrected
     product P(z) = prod_j (1 + alpha q_j^2 z)^(-1/2).
@@ -255,7 +241,6 @@ def alpha_integral_corrected(q: Sequence[float], alpha: float,
     This equals sqrt(pi) * E[sqrt(sum q_j^2 X_j^2)] for every admissible
     alpha, which the test suite checks against :func:`sqrt_qform_moment`.
     """
-    cfg = cfg or QuadConfig()
     m, q2 = _scaled_q2(q)
     check_alpha_admissible(q, alpha)
     # with q = m q_hat: alpha q^2 = gamma q_hat^2 and sqrt(alpha) m^2 = m sqrt(gamma)
@@ -274,5 +259,5 @@ def alpha_integral_corrected(q: Sequence[float], alpha: float,
         return np.exp(0.5 * s) * s_term * prod * (2.0 * np.cosh(tau))
 
     end = _tau_end(1.0)
-    return _de_quad(g, -end, end, q2.size, cfg, scale=m * math.sqrt(gamma))
+    return _de_quad(g, -end, end, q2.size, tol, scale=m * math.sqrt(gamma))
 

@@ -134,3 +134,20 @@ def iso_ratio_mpmath(axes, dps: int = 30) -> float:
             raise ArithmeticError(f"mpmath quadrature error {err} on {integral}")
         moment = integral / (2 * mp.sqrt(mp.pi))
         return float(n * mp.gamma(mp.mpf(n) / 2) / mp.gamma(mp.mpf(n + 1) / 2) * moment)
+
+
+def iso_ratio_spheroid(A: float, B: float, k: int, n: int, dps: int = 30) -> float:
+    """Isoperimetric ratio for inverse semi-axes q = A on k coordinates and
+    q = B >= A on the other n - k, to about 30 digits.
+
+    R = n * E[|q u|] over the unit sphere.  With T the sum of u_i^2 over
+    the k coordinates, T is Beta(k/2, (n-k)/2) distributed and
+    |q u| = B sqrt(1 - (1 - (A/B)^2) T), so
+    R = n B 2F1(-1/2, k/2; n/2; 1 - (A/B)^2), summed by mpmath's hyp2f1.
+    """
+    if not 0 < A <= B or not 0 < k <= n:
+        raise ValueError(f"needs 0 < A <= B and 0 < k <= n, got {A, B, k, n}")
+    with mp.workdps(dps):
+        A, B = mp.mpf(A), mp.mpf(B)
+        return float(n * B * mp.hyp2f1(-mp.mpf(1) / 2, mp.mpf(k) / 2, mp.mpf(n) / 2,
+                                       1 - (A / B) ** 2))

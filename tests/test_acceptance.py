@@ -16,7 +16,6 @@ import pytest
 from ellipsurf import bounds, geometry, lauricella, mc, quadrature
 from ellipsurf.geometry import Ellipsoid
 from ellipsurf.quadrature import (
-    QuadConfig,
     alpha_integral_corrected,
     iso_ratio_quad,
     sqrt_qform_moment,

@@ -202,11 +202,6 @@ class TestAreaCommand:
         assert rc == 0
         assert "surface_area:" in out
 
-    def test_method_bounds_delegates(self, capsys):
-        rc, out, _ = run_cli(capsys, "area", "--axes", "1,2", "--method", "bounds")
-        assert rc == 0
-        assert "ratio_lower" in json.loads(out)
-
     def test_nonconvergence_exit_code(self, capsys):
         rc, out, _ = run_cli(capsys, "area", "--axes", "1,1000",
                              "--method", "lauricella", "--tol", "1e-15")
@@ -349,6 +344,13 @@ class TestCompareCommand:
         rc, _, err = run_cli(capsys, "compare", "--axes", "1,2",
                              "--methods", "laplace,warp")
         assert rc == 2
+
+    def test_repeated_method_rejected(self, capsys):
+        rc, out, err = run_cli(capsys, "compare", "--axes", "1,2",
+                               "--methods", "laplace,laplace")
+        assert rc == 2
+        assert out == ""
+        assert "method 'laplace' is repeated" in err
 
     def test_unreachable_tol_flags_lauricella(self, capsys):
         rc, out, _ = run_cli(capsys, "compare", "--axes", "1,1000",

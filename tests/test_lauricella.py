@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ellipsurf import lauricella
 from ellipsurf.geometry import Ellipsoid
 from ellipsurf.lauricella import (
     FdParams,
@@ -10,7 +11,7 @@ from ellipsurf.lauricella import (
     fd_series,
     iso_ratio_lauricella,
 )
-from ellipsurf.quadrature import QuadConfig, iso_ratio_quad
+from ellipsurf.quadrature import iso_ratio_quad
 
 from oracles import gauss_2f1, iso_ratio_mpmath
 
@@ -69,9 +70,12 @@ class TestFdSeries:
             fd_series(FdParams(0.5, [0.5, 0.5], 1.5, [0.0, 1.0]))
         with pytest.raises(ValueError, match="nonpositive integer"):
             fd_series(FdParams(0.5, [0.5], -2.0, [0.1]))
+        with pytest.raises(ValueError, match="tol must be >= 1e-15"):
+            fd_series(FdParams(0.5, [0.5], 1.5, [0.1]), tol=1e-16)
 
-    def test_budget_exhaustion_flags(self):
-        res = fd_series(FdParams(0.5, [1.5], 1.5, [0.999]), max_total_degree=50)
+    def test_budget_exhaustion_flags(self, monkeypatch):
+        monkeypatch.setattr(lauricella, "_MAX_DEGREE", 50)
+        res = fd_series(FdParams(0.5, [1.5], 1.5, [0.999]))
         assert not res.converged
 
     def test_terminating_series(self):

@@ -8,17 +8,15 @@ from ellipsurf import geometry, mc, quadrature
 from ellipsurf.geometry import Ellipsoid
 from ellipsurf.lauricella import iso_ratio_lauricella
 from ellipsurf.quadrature import (
-    QuadConfig,
     alpha_integral_corrected,
     check_alpha_admissible,
     default_alpha,
     iso_ratio_quad,
-    sphere_mean_sqrt_qform,
     sqrt_qform_moment,
 )
 
 from gen_discrepancy_report import alpha_integral_as_printed
-from oracles import ellipse_perimeter, ellipsoid_surface_3d, iso_ratio_mpmath
+from oracles import ellipse_perimeter, ellipsoid_surface_3d, iso_ratio_mpmath, iso_ratio_spheroid
 
 
 SQRT_PI = math.sqrt(math.pi)
@@ -91,16 +89,15 @@ class TestSqrtQformMoment:
         with pytest.raises(ValueError):
             sqrt_qform_moment([])
 
-    def test_nonconvergence_flagged(self):
-        cfg = QuadConfig(max_subdivisions=10)
-        res = sqrt_qform_moment([1e-8, 1e-4, 1.0], cfg)
+    def test_nonconvergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
+        res = sqrt_qform_moment([1e-8, 1e-4, 1.0])
         assert not res.converged
 
     def test_converged_error_contract(self):
-        cfg = QuadConfig(rel_tol=1e-10)
-        res = sqrt_qform_moment([0.7, 1.9, 3.1], cfg)
+        res = sqrt_qform_moment([0.7, 1.9, 3.1], 1e-10)
         assert res.converged
-        assert res.est_error <= cfg.rel_tol * abs(res.value)
+        assert res.est_error <= 1e-10 * abs(res.value)
         assert res.evals >= 1
 
 
@@ -177,14 +174,29 @@ class TestNodeBlocks:
         assert runs[0] == runs[1]
 
 
+class TestSpheroidOracle:
+    # q = A on k coordinates and 1 on the rest, against a 2F1 oracle that
+    # shares no code with either route; the only independent check of the
+    # claimed errors above n = 24
+    @pytest.mark.parametrize("A,k,n", [(1e-3, 1, 100_001), (0.5, 50_000, 200_001),
+                                       (0.2, 10, 1000), (0.9, 1, 24), (1e-6, 2, 5),
+                                       (0.3, 1, 3), (0.5, 3, 8)])
+    @pytest.mark.parametrize("route", [iso_ratio_quad, iso_ratio_lauricella])
+    def test_within_claimed_error(self, route, A, k, n):
+        q = np.ones(n)
+        q[:k] = A
+        est = route(Ellipsoid.from_inverse_axes(q))
+        assert est.converged
+        assert abs(est.value - iso_ratio_spheroid(A, 1.0, k, n)) <= est.abs_error
+
+
 class TestNormFromRatio:
     def test_norm_axioms_deterministic(self):
         # ||q||_R = (iso ratio)/n must behave like a norm on q
         gen = np.random.Generator(np.random.Philox(key=np.array([31, 0], dtype=np.uint64)))
-        cfg = QuadConfig(rel_tol=1e-12)
 
         def r_norm(q):
-            return sphere_mean_sqrt_qform(q, cfg).value
+            return geometry.gamma_half_ratio(len(q), 1) * sqrt_qform_moment(q).value
 
         for _ in range(200):
             n = int(gen.integers(1, 11))
@@ -265,11 +277,13 @@ def test_agm_perimeter_oracle_against_mpmath(aspect):
     assert rel_err(ellipse_perimeter(1.0, aspect), expected) <= 1e-14
 
 
-class TestQuadConfig:
+class TestTol:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadConfig(rel_tol=1e-16)
-        with pytest.raises(ValueError):
-            QuadConfig(max_subdivisions=5)
+        with pytest.raises(ValueError, match="tol must be >= 1e-15"):
+            sqrt_qform_moment([1.0, 2.0], 1e-16)
+        with pytest.raises(ValueError, match="tol must be >= 1e-15"):
+            sqrt_qform_moment([1.0, 2.0], math.nan)
+        with pytest.raises(ValueError, match="tol must be >= 1e-15"):
+            iso_ratio_lauricella(Ellipsoid([1.0, 2.0]), route="series", tol=1e-16)
         with pytest.raises(ValueError):
             iso_ratio_lauricella(Ellipsoid([1.0, 2.0]), alpha=-1.0)
