@@ -60,7 +60,10 @@ def sum_log1p(q2, t):
 def backend_threads() -> int:
     """Worker-thread cap from ELLIPSURF_THREADS (0 or unset = auto)."""
     raw = os.environ.get("ELLIPSURF_THREADS", "0").strip() or "0"
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"ELLIPSURF_THREADS must be an integer, got {raw!r}") from None
     if value <= 0:
         value = os.cpu_count() or 1
     return max(1, value)

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from . import bounds as bounds_mod
 from . import geometry
 from . import lauricella as lauricella_mod
@@ -352,6 +353,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _kernels.backend_threads()  # a bad ELLIPSURF_THREADS fails every subcommand alike
         return args.handler(args)
     except (ValueError, VolumeOverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -313,6 +313,24 @@ class TestMethodTable:
         assert all(repr(m) in err for m in cli.METHODS)
 
 
+class TestThreadsVariable:
+    @pytest.mark.parametrize("argv", [
+        ["area", "--axes", "1,2,3"],
+        ["area", "--method", "mc", "--samples", "200000", "--axes", "1,2,3"],
+        ["compare", "--methods", "laplace,asymptotic", "--axes", "1,2,3"],
+        ["converge", "--dims", "10,20", "--axis-law", "uniform:1,2"],
+        ["bounds", "--axes", "1,2,3"],
+        ["selftest"],
+    ])
+    def test_invalid_value_exits_2_naming_the_variable(self, monkeypatch, capsys, argv):
+        # checked once up front, not only when a call reaches the pool
+        monkeypatch.setenv("ELLIPSURF_THREADS", "junk")
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert "ELLIPSURF_THREADS" in err and "'junk'" in err
+
+
 class TestCompareCommand:
     def test_unit_ball_all_pass(self, capsys):
         rc, out, _ = run_cli(capsys, "compare", "--axes", "1,1,1,1,1",

@@ -59,7 +59,7 @@ def test_backend_threads_env(monkeypatch):
     monkeypatch.delenv("ELLIPSURF_THREADS")
     assert _kernels.backend_threads() >= 1
     monkeypatch.setenv("ELLIPSURF_THREADS", "junk")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ELLIPSURF_THREADS"):
         _kernels.backend_threads()
 
 
