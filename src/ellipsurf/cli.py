@@ -46,9 +46,6 @@ METHODS = {
     "asymptotic": lambda e, a: bounds_mod.iso_ratio_asymptotic(e),
 }
 
-#: auto method switches from quadrature to the asymptotic formula here.
-AUTO_ASYMPTOTIC_ABOVE = 10**5
-
 #: deterministic-pair agreement tolerance used by ``compare``.
 DETERMINISTIC_PAIR_RTOL = 1e-6
 
@@ -129,9 +126,7 @@ def _method_report(e: Ellipsoid, method: str, args) -> tuple:
 
 def cmd_area(args) -> int:
     e = build_ellipsoid(parse_axes(args.axes), args.inverse)
-    method = args.method
-    if method == "auto":
-        method = "laplace" if e.n <= AUTO_ASYMPTOTIC_ABOVE else "asymptotic"
+    method = "laplace" if args.method == "auto" else args.method
     _, shared = _method_report(e, method, args)  # before the volume, whose overflow is exit 2
     report = {"dimension": e.n, "axes_sha256": axes_sha256(e), "method": method,
               "volume": geometry.ellipsoid_volume(e), **shared}

@@ -10,6 +10,17 @@ since E[exp(-tY)] = prod_j (1 + q_j^2 t)^(-1/2).  The product is always
 computed as exp(-0.5 * sum log1p(q_j^2 t)) so that n ~ 1e6 neither
 overflows nor underflows.
 
+The sum over the axes.  With lam = (q / max q)^2, each integrand needs
+S(t) = sum_j log1p(lam_j t) at every node, and the default lauricella
+route also sum_j lam_j / (1 + lam_j t).  Where B (K + 2) < n, B being
+the number of half-octaves of lam that hold a value and K = 22, the
+route builds :class:`_kernels.BucketMeasure` once, in K + 1 passes over
+n, and a node costs O(B K) instead of O(n).  Its truncation is proved
+below 1.6e-19 (log1p) and 3.5e-18 (resolvent) of each bucket's own sum,
+far below the rounding floor, so the error model is unchanged.  Below
+that rule the sums run directly over the n values, so n <= 24 never
+uses the measure.
+
 Integration rule.  Every integral of the package is one trapezoid sum
 in a variable tau after a double-exponential change of variable
 (Takahasi & Mori 1974; Trefethen & Weideman, SIAM Review 2014):
@@ -28,7 +39,8 @@ The tau interval ends where the transformed integrand has fallen by
 exp(-40), rounded out to the first step.  The step starts at h = 1/2 and
 halves; each level adds only the odd multiples of the new step, cut
 into blocks of nodes of at most about 2^20 float64 elements
-(_kernels.BLOCK_ELEMENTS), so at n = 1e6 a block is one node.  The
+(_kernels.BLOCK_ELEMENTS), a node costing n elements on the direct sums
+and B (K + 2) on the measure, where a level is one block.  The
 blocks of a level run on the worker pool of :func:`_kernels.ordered_map`.
 A node's value does not depend on the block it falls in, so neither the
 block size nor the thread count changes the bits.  The error estimate of
@@ -211,15 +223,19 @@ def sqrt_qform_moment(q: Sequence[float], tol: float = 1e-12) -> QuadResult:
     """
     m, q2 = _scaled_q2(q)
     centre = -math.log(float(q2.sum()))
+    measure = _kernels.BucketMeasure.of(q2)
 
     # t^(-3/2) (1 - prod) dt = t^(-1/2) (1 - prod) ds with s = log t
     def g(tau):
         s = centre + 2.0 * np.sinh(tau)
-        one_minus_prod = -np.expm1(-0.5 * _kernels.sum_log1p(q2, np.exp(s)))
+        t = np.exp(s)
+        log_sum = _kernels.sum_log1p(q2, t) if measure is None else measure.log1p_sum(t)
+        one_minus_prod = -np.expm1(-0.5 * log_sum)
         return np.exp(-0.5 * s) * one_minus_prod * (2.0 * np.cosh(tau))
 
     end = _tau_end(1.0)
-    return _de_quad(g, -end, end, q2.size, tol, scale=m / _TWO_SQRT_PI)
+    width = q2.size if measure is None else measure.width
+    return _de_quad(g, -end, end, width, tol, scale=m / _TWO_SQRT_PI)
 
 
 def iso_ratio_quad(e: Ellipsoid, tol: float = 1e-12) -> Estimate:
@@ -247,17 +263,24 @@ def alpha_integral_corrected(q: Sequence[float], alpha: float,
     gamma = alpha * m * m
     aq2 = gamma * q2
     centre = -math.log(float(aq2.sum()))
+    measure = _kernels.BucketMeasure.of(q2)
 
     # z^(-1/2) S P dz = z^(1/2) S P ds with s = log z
     def g(tau):
         s = centre + 2.0 * np.sinh(tau)
         z = np.exp(s)
-        block = np.multiply.outer(z, aq2)
-        block += 1.0
-        s_term = 0.5 * np.divide(q2, block, out=block).sum(axis=-1)
-        prod = np.exp(-0.5 * _kernels.sum_log1p(aq2, z))
-        return np.exp(0.5 * s) * s_term * prod * (2.0 * np.cosh(tau))
+        if measure is None:
+            block = np.multiply.outer(z, aq2)
+            block += 1.0
+            s_term = 0.5 * np.divide(q2, block, out=block).sum(axis=-1)
+            log_sum = _kernels.sum_log1p(aq2, z)
+        else:
+            t = gamma * z
+            s_term = 0.5 * measure.resolvent_sum(t)
+            log_sum = measure.log1p_sum(t)
+        return np.exp(0.5 * s) * s_term * np.exp(-0.5 * log_sum) * (2.0 * np.cosh(tau))
 
     end = _tau_end(1.0)
-    return _de_quad(g, -end, end, q2.size, tol, scale=m * math.sqrt(gamma))
+    width = q2.size if measure is None else measure.width
+    return _de_quad(g, -end, end, width, tol, scale=m * math.sqrt(gamma))
 

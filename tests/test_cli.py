@@ -16,8 +16,9 @@ from importlib import resources
 
 from ellipsurf import cli, geometry
 from ellipsurf.cli import main, parse_axes
+from ellipsurf.quadrature import iso_ratio_quad
 
-from oracles import ellipse_perimeter, iso_ratio_mpmath
+from oracles import ellipse_perimeter, iso_ratio_mpmath, iso_ratio_spheroid
 
 
 def run_cli(capsys, *argv):
@@ -102,13 +103,20 @@ class TestAreaCommand:
             keys.add(tuple(json.loads(out).keys()))
         assert len(keys) == 1
 
-    def test_auto_switches_to_asymptotic_for_large_n(self, tmp_path, capsys):
+    def test_auto_uses_laplace_for_large_n(self, tmp_path, capsys):
+        # q = 0.5 on 3 coordinates and 1 elsewhere, checked against the
+        # 2F1 spheroid oracle
+        n = 10**5 + 1
         axes_file = tmp_path / "axes.txt"
-        axes_file.write_text("1.0\n" * (cli.AUTO_ASYMPTOTIC_ABOVE + 1))
-        rc, out, _ = run_cli(capsys, "area", "--axes", f"@{axes_file}")
+        axes_file.write_text("0.5\n" * 3 + "1.0\n" * (n - 3))
+        rc, out, _ = run_cli(capsys, "area", "--inverse", "--axes", f"@{axes_file}")
         assert rc == 0
         report = json.loads(out)
-        assert report["method"] == "asymptotic"
+        assert report["method"] == "laplace"
+        assert report["converged"] is True
+        est = iso_ratio_quad(geometry.Ellipsoid.from_inverse_axes([0.5] * 3 + [1.0] * (n - 3)))
+        assert report["iso_ratio"] == est.value
+        assert abs(est.value - iso_ratio_spheroid(0.5, 1.0, 3, n)) <= est.abs_error
         # the linear volume underflows to zero at this dimension; the
         # report stays schema-valid
         assert report["volume"] == 0.0

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,9 @@ import threading
 import numpy as np
 import pytest
 
-from ellipsurf import _kernels
+from ellipsurf import _kernels, quadrature
+from ellipsurf.geometry import Ellipsoid
+from ellipsurf.lauricella import iso_ratio_lauricella
 
 
 @pytest.fixture
@@ -31,6 +34,85 @@ def test_sum_log1p_per_node_matches_one_node(batch):
     assert block.shape == t.shape
     for i, ti in enumerate(t):
         assert block[i] == float(np.log1p(q2 * ti).sum())
+
+
+def _law(name, n):
+    gen = np.random.Generator(np.random.Philox(key=np.array([13, 0], dtype=np.uint64)))
+    if name == "uniform":
+        return gen.uniform(1.0, 2.0, n)
+    if name.startswith("loguniform"):
+        span = float(name.partition(":")[2])
+        return 10.0 ** gen.uniform(-span, span, n)
+    if name == "a_i=i":
+        return np.arange(1.0, n + 1.0)
+    if name == "spheroid":
+        return np.concatenate((np.full(3, 2.0), np.ones(n - 3)))
+    if name == "equal":
+        return np.full(n, 3.0)
+    assert name == "one_tiny"  # the other squares underflow to 0
+    return np.concatenate(([1e-200], np.ones(n - 1)))
+
+
+LAWS = ["uniform", "loguniform:3", "loguniform:8", "a_i=i", "spheroid", "equal", "one_tiny"]
+EPS = np.finfo(np.float64).eps
+
+
+def _laplace_nodes(lam):
+    # the 289 nodes of the laplace grid at step 1/32
+    end = quadrature._tau_end(1.0)
+    tau = -end + np.arange(int(64 * end) + 1) / 32.0
+    assert tau.size == 289
+    return np.exp(-math.log(float(lam.sum())) + 2.0 * np.sinh(tau))
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_bucket_measure_matches_direct_sums(law):
+    _, lam = quadrature._scaled_q2(1.0 / _law(law, 10**5))
+    measure = _kernels.BucketMeasure.of(lam)
+    assert measure is not None
+    t = _laplace_nodes(lam)
+    direct_log = np.concatenate([_kernels.sum_log1p(lam, t[i:i + 10])
+                                 for i in range(0, t.size, 10)])
+    direct_res = np.concatenate([(lam / (1.0 + np.multiply.outer(t[i:i + 10], lam))).sum(axis=-1)
+                                 for i in range(0, t.size, 10)])
+    log_sum, res_sum = measure.log1p_sum(t), measure.resolvent_sum(t)
+    assert np.all(np.abs(log_sum - direct_log) <= 8 * EPS * direct_log)
+    assert np.all(np.abs(res_sum - direct_res) <= 8 * EPS * direct_res)
+    # the proved truncation bounds of the docstring, per node
+    k = _kernels.BucketMeasure.TERMS
+    c, h, n_b = measure.centres, measure.half_widths, measure.counts
+    y = np.multiply.outer(t, h) / (1.0 + np.multiply.outer(t, c))
+    log_tail = (n_b * y ** (k + 1) / ((k + 1) * (1.0 - y))).sum(axis=-1)
+    res_tail = (n_b * (c + h) / (1.0 + np.multiply.outer(t, c))
+                * y ** (k + 1) / (1.0 - y)).sum(axis=-1)
+    assert np.all(log_tail <= EPS / 8 * log_sum)
+    assert np.all(res_tail <= EPS / 8 * res_sum)
+
+
+def test_bucket_measure_node_matches_one_node():
+    _, lam = quadrature._scaled_q2(1.0 / _law("loguniform:3", 10**4))
+    measure = _kernels.BucketMeasure.of(lam)
+    t = _laplace_nodes(lam)
+    log_sum, res_sum = measure.log1p_sum(t), measure.resolvent_sum(t)
+    for i in range(0, t.size, 7):
+        assert measure.log1p_sum(t[i:i + 1])[0] == log_sum[i]
+        assert measure.resolvent_sum(t[i:i + 1])[0] == res_sum[i]
+
+
+def test_bucket_measure_only_where_it_costs_less():
+    # B (K + 2) < n, else None: 24 values of one bucket are direct, 25 not
+    assert _kernels.BucketMeasure.of(np.ones(24)) is None
+    assert _kernels.BucketMeasure.of(np.ones(25)).width == 24
+    _, lam = quadrature._scaled_q2(np.geomspace(1e-8, 1e8, 5000))
+    assert _kernels.BucketMeasure.of(lam) is None
+
+
+@pytest.mark.parametrize("route", [quadrature.iso_ratio_quad, iso_ratio_lauricella])
+def test_bucket_measure_routes_are_permutation_bit_identical(route):
+    axes = _law("loguniform:3", 10**5)
+    whole = route(Ellipsoid(axes))
+    gen = np.random.Generator(np.random.Philox(key=np.array([14, 0], dtype=np.uint64)))
+    assert route(Ellipsoid(gen.permutation(axes))) == whole
 
 
 def test_no_jit_env_flag_selects_numpy_path():

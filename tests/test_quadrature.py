@@ -141,8 +141,31 @@ class TestIsoRatioQuad:
             assert abs(est.value - iso_ratio_mpmath(axes)) <= est.abs_error, axes
 
 
+#: q whose squares fill 213 half-octaves, so B (K + 2) > n and both
+#: routes keep the direct sums
+WIDE_Q = np.geomspace(1e-8, 1e8, 4000)
+
+
 class TestNodeBlocks:
     def test_block_bound_at_n_1e6(self, monkeypatch):
+        # at n = 1e6 the route evaluates the bucket measure, whose node
+        # costs measure.width values
+        sizes = []
+        kernel = quadrature._kernels.BucketMeasure.log1p_sum
+
+        def recording(measure, t):
+            sizes.append(np.size(t) * measure.width)
+            return kernel(measure, t)
+
+        monkeypatch.setattr(quadrature._kernels.BucketMeasure, "log1p_sum", recording)
+        res = sqrt_qform_moment(np.ones(10**6))
+        assert res.converged
+        assert max(sizes) <= quadrature._kernels.BLOCK_ELEMENTS
+
+    def test_block_bound_on_the_direct_path(self, monkeypatch):
+        # a budget of 20 nodes cuts each level of 36 nodes or more into blocks
+        assert quadrature._kernels.BucketMeasure.of(quadrature._scaled_q2(WIDE_Q)[1]) is None
+        monkeypatch.setattr(quadrature._kernels, "BLOCK_ELEMENTS", 20 * WIDE_Q.size)
         sizes = []
         kernel = quadrature._kernels.sum_log1p
 
@@ -151,9 +174,10 @@ class TestNodeBlocks:
             return kernel(q2, t)
 
         monkeypatch.setattr(quadrature._kernels, "sum_log1p", recording)
-        res = sqrt_qform_moment(np.ones(10**6))
+        res = sqrt_qform_moment(WIDE_Q)
         assert res.converged
-        assert max(sizes) <= quadrature._kernels.BLOCK_ELEMENTS
+        assert max(sizes) == quadrature._kernels.BLOCK_ELEMENTS
+        assert res.evals == 289 and len(sizes) > 5  # more blocks than levels
 
     def test_block_size_leaves_bits_unchanged(self, monkeypatch):
         q = [0.3, 2.2, 1.1, 0.9, 1.7]
@@ -163,9 +187,24 @@ class TestNodeBlocks:
 
     @pytest.mark.parametrize("method", ["laplace", "lauricella"])
     def test_thread_count_leaves_bits_unchanged(self, monkeypatch, method):
-        # at n = 1e5 a block is 10 nodes, so every level has several blocks
+        # at n = 1e5 the route evaluates the bucket measure, and each level
+        # is one block
         route = {"laplace": iso_ratio_quad, "lauricella": iso_ratio_lauricella}[method]
         e = Ellipsoid(np.random.default_rng(4).uniform(1.0, 2.0, 10**5))
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ELLIPSURF_THREADS", threads)
+            runs.append(route(e))
+        assert runs[0].converged
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("method", ["laplace", "lauricella"])
+    def test_thread_count_leaves_bits_unchanged_on_the_direct_path(self, monkeypatch, method):
+        # a budget of 20 nodes cuts each level of 36 nodes or more into
+        # blocks, which run on the worker pool
+        route = {"laplace": iso_ratio_quad, "lauricella": iso_ratio_lauricella}[method]
+        e = Ellipsoid.from_inverse_axes(WIDE_Q)
+        monkeypatch.setattr(quadrature._kernels, "BLOCK_ELEMENTS", 20 * WIDE_Q.size)
         runs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ELLIPSURF_THREADS", threads)
@@ -178,7 +217,8 @@ class TestSpheroidOracle:
     # q = A on k coordinates and 1 on the rest, against a 2F1 oracle that
     # shares no code with either route; the only independent check of the
     # claimed errors above n = 24
-    @pytest.mark.parametrize("A,k,n", [(1e-3, 1, 100_001), (0.5, 50_000, 200_001),
+    @pytest.mark.parametrize("A,k,n", [(1e-3, 1, 100_001), (1e-3, 1, 1_000_000),
+                                       (0.5, 50_000, 200_001),
                                        (0.2, 10, 1000), (0.9, 1, 24), (1e-6, 2, 5),
                                        (0.3, 1, 3), (0.5, 3, 8)])
     @pytest.mark.parametrize("route", [iso_ratio_quad, iso_ratio_lauricella])
