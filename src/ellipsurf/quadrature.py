@@ -12,14 +12,15 @@ overflows nor underflows.
 
 The sum over the axes.  With lam = (q / max q)^2, each integrand needs
 S(t) = sum_j log1p(lam_j t) at every node, and the default lauricella
-route also sum_j lam_j / (1 + lam_j t).  Where B (K + 2) < n, B being
-the number of half-octaves of lam that hold a value and K = 22, the
-route builds :class:`_kernels.BucketMeasure` once, in K + 1 passes over
-n, and a node costs O(B K) instead of O(n).  Its truncation is proved
-below 1.6e-19 (log1p) and 3.5e-18 (resolvent) of each bucket's own sum,
-far below the rounding floor, so the error model is unchanged.  Below
-that rule the sums run directly over the n values, so n <= 24 never
-uses the measure.
+route also sum_j lam_j / (1 + lam_j t).  Both come from
+:func:`_kernels.node_sums`, which picks the cheaper of two evaluations
+for the given lam.  The direct sums cost O(n) per node.  Where
+n > 512 + B K/2, B being the number of half-octaves of lam that hold a
+value and K = 22, :class:`_kernels.BucketMeasure` is built once, in
+K + 1 passes over n, and a node costs O(B K) instead.  Its truncation
+is proved below 1.6e-19 (log1p) and 3.5e-18 (resolvent) of each
+bucket's own sum, far below the rounding floor, so the error model is
+unchanged.  Every n <= 512 keeps the direct sums.
 
 Integration rule.  Every integral of the package is one trapezoid sum
 in a variable tau after a double-exponential change of variable
@@ -39,8 +40,8 @@ The tau interval ends where the transformed integrand has fallen by
 exp(-40), rounded out to the first step.  The step starts at h = 1/2 and
 halves; each level adds only the odd multiples of the new step, cut
 into blocks of nodes of at most about 2^20 float64 elements
-(_kernels.BLOCK_ELEMENTS), a node costing n elements on the direct sums
-and B (K + 2) on the measure, where a level is one block.  The
+(_kernels.BLOCK_ELEMENTS), a node holding n elements on the direct sums
+and at most B (K + 2) on the measure, where a level is one block.  The
 blocks of a level run on the worker pool of :func:`_kernels.ordered_map`.
 A node's value does not depend on the block it falls in, so neither the
 block size nor the thread count changes the bits.  The error estimate of
@@ -223,19 +224,16 @@ def sqrt_qform_moment(q: Sequence[float], tol: float = 1e-12) -> QuadResult:
     """
     m, q2 = _scaled_q2(q)
     centre = -math.log(float(q2.sum()))
-    measure = _kernels.BucketMeasure.of(q2)
+    sums = _kernels.node_sums(q2)
 
     # t^(-3/2) (1 - prod) dt = t^(-1/2) (1 - prod) ds with s = log t
     def g(tau):
         s = centre + 2.0 * np.sinh(tau)
-        t = np.exp(s)
-        log_sum = _kernels.sum_log1p(q2, t) if measure is None else measure.log1p_sum(t)
-        one_minus_prod = -np.expm1(-0.5 * log_sum)
+        one_minus_prod = -np.expm1(-0.5 * sums.log1p_sum(np.exp(s)))
         return np.exp(-0.5 * s) * one_minus_prod * (2.0 * np.cosh(tau))
 
     end = _tau_end(1.0)
-    width = q2.size if measure is None else measure.width
-    return _de_quad(g, -end, end, width, tol, scale=m / _TWO_SQRT_PI)
+    return _de_quad(g, -end, end, sums.width, tol, scale=m / _TWO_SQRT_PI)
 
 
 def iso_ratio_quad(e: Ellipsoid, tol: float = 1e-12) -> Estimate:
@@ -261,26 +259,17 @@ def alpha_integral_corrected(q: Sequence[float], alpha: float,
     check_alpha_admissible(q, alpha)
     # with q = m q_hat: alpha q^2 = gamma q_hat^2 and sqrt(alpha) m^2 = m sqrt(gamma)
     gamma = alpha * m * m
-    aq2 = gamma * q2
-    centre = -math.log(float(aq2.sum()))
-    measure = _kernels.BucketMeasure.of(q2)
+    centre = -math.log(float((gamma * q2).sum()))
+    sums = _kernels.node_sums(q2, gamma)
 
     # z^(-1/2) S P dz = z^(1/2) S P ds with s = log z
     def g(tau):
         s = centre + 2.0 * np.sinh(tau)
         z = np.exp(s)
-        if measure is None:
-            block = np.multiply.outer(z, aq2)
-            block += 1.0
-            s_term = 0.5 * np.divide(q2, block, out=block).sum(axis=-1)
-            log_sum = _kernels.sum_log1p(aq2, z)
-        else:
-            t = gamma * z
-            s_term = 0.5 * measure.resolvent_sum(t)
-            log_sum = measure.log1p_sum(t)
+        s_term = 0.5 * sums.resolvent_sum(z)
+        log_sum = sums.log1p_sum(z)
         return np.exp(0.5 * s) * s_term * np.exp(-0.5 * log_sum) * (2.0 * np.cosh(tau))
 
     end = _tau_end(1.0)
-    width = q2.size if measure is None else measure.width
-    return _de_quad(g, -end, end, width, tol, scale=m * math.sqrt(gamma))
+    return _de_quad(g, -end, end, sums.width, tol, scale=m * math.sqrt(gamma))
 

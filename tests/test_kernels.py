@@ -49,11 +49,16 @@ def _law(name, n):
         return np.concatenate((np.full(3, 2.0), np.ones(n - 3)))
     if name == "equal":
         return np.full(n, 3.0)
+    if name == "subnormal":  # the other squares are subnormal, spread over buckets
+        return np.concatenate(([1e-155], gen.uniform(1.0, 2.0, n - 1)))
+    if name == "subnormal_width":  # squares near 1e-298 whose half-width is subnormal
+        return np.concatenate(([1e-149], gen.uniform(1.0, 1.0 + 1e-12, n - 1)))
     assert name == "one_tiny"  # the other squares underflow to 0
     return np.concatenate(([1e-200], np.ones(n - 1)))
 
 
-LAWS = ["uniform", "loguniform:3", "loguniform:8", "a_i=i", "spheroid", "equal", "one_tiny"]
+LAWS = ["uniform", "loguniform:3", "loguniform:8", "a_i=i", "spheroid", "equal",
+        "subnormal", "subnormal_width", "one_tiny"]
 EPS = np.finfo(np.float64).eps
 
 
@@ -68,8 +73,8 @@ def _laplace_nodes(lam):
 @pytest.mark.parametrize("law", LAWS)
 def test_bucket_measure_matches_direct_sums(law):
     _, lam = quadrature._scaled_q2(1.0 / _law(law, 10**5))
-    measure = _kernels.BucketMeasure.of(lam)
-    assert measure is not None
+    measure = _kernels.node_sums(lam)
+    assert isinstance(measure, _kernels.BucketMeasure)
     t = _laplace_nodes(lam)
     direct_log = np.concatenate([_kernels.sum_log1p(lam, t[i:i + 10])
                                  for i in range(0, t.size, 10)])
@@ -91,7 +96,8 @@ def test_bucket_measure_matches_direct_sums(law):
 
 def test_bucket_measure_node_matches_one_node():
     _, lam = quadrature._scaled_q2(1.0 / _law("loguniform:3", 10**4))
-    measure = _kernels.BucketMeasure.of(lam)
+    measure = _kernels.node_sums(lam)
+    assert isinstance(measure, _kernels.BucketMeasure)
     t = _laplace_nodes(lam)
     log_sum, res_sum = measure.log1p_sum(t), measure.resolvent_sum(t)
     for i in range(0, t.size, 7):
@@ -100,11 +106,23 @@ def test_bucket_measure_node_matches_one_node():
 
 
 def test_bucket_measure_only_where_it_costs_less():
-    # B (K + 2) < n, else None: 24 values of one bucket are direct, 25 not
-    assert _kernels.BucketMeasure.of(np.ones(24)) is None
-    assert _kernels.BucketMeasure.of(np.ones(25)).width == 24
-    _, lam = quadrature._scaled_q2(np.geomspace(1e-8, 1e8, 5000))
-    assert _kernels.BucketMeasure.of(lam) is None
+    # n > OVERHEAD + B K/2, else the direct sums: 523 values of one bucket
+    # are direct, 524 not
+    assert isinstance(_kernels.node_sums(np.ones(523)), _kernels.DirectSums)
+    assert _kernels.node_sums(np.ones(524)).width == 24
+    _, lam = quadrature._scaled_q2(np.geomspace(1e-8, 1e8, 2000))
+    assert isinstance(_kernels.node_sums(lam), _kernels.DirectSums)
+
+
+@pytest.mark.parametrize("law", ["subnormal", "subnormal_width", "loguniform:8"])
+@pytest.mark.parametrize("route", [quadrature.iso_ratio_quad, iso_ratio_lauricella])
+def test_bucket_measure_routes_match_the_direct_routes(monkeypatch, route, law):
+    e = Ellipsoid(_law(law, 10**5))
+    est = route(e)
+    monkeypatch.setattr(_kernels, "node_sums", lambda lam, scale=1.0: _kernels.DirectSums(lam, scale))
+    direct = route(e)
+    assert est.converged and direct.converged
+    assert abs(est.value - direct.value) <= min(est.abs_error, direct.abs_error)
 
 
 @pytest.mark.parametrize("route", [quadrature.iso_ratio_quad, iso_ratio_lauricella])

@@ -141,9 +141,9 @@ class TestIsoRatioQuad:
             assert abs(est.value - iso_ratio_mpmath(axes)) <= est.abs_error, axes
 
 
-#: q whose squares fill 213 half-octaves, so B (K + 2) > n and both
+#: q whose squares fill 214 half-octaves, so n < 512 + B K/2 and both
 #: routes keep the direct sums
-WIDE_Q = np.geomspace(1e-8, 1e8, 4000)
+WIDE_Q = np.geomspace(1e-8, 1e8, 2000)
 
 
 class TestNodeBlocks:
@@ -164,7 +164,8 @@ class TestNodeBlocks:
 
     def test_block_bound_on_the_direct_path(self, monkeypatch):
         # a budget of 20 nodes cuts each level of 36 nodes or more into blocks
-        assert quadrature._kernels.BucketMeasure.of(quadrature._scaled_q2(WIDE_Q)[1]) is None
+        sums = quadrature._kernels.node_sums(quadrature._scaled_q2(WIDE_Q)[1])
+        assert isinstance(sums, quadrature._kernels.DirectSums)
         monkeypatch.setattr(quadrature._kernels, "BLOCK_ELEMENTS", 20 * WIDE_Q.size)
         sizes = []
         kernel = quadrature._kernels.sum_log1p
