@@ -69,8 +69,8 @@ def node_sums(lam, scale=1.0):
 
     with ``width``, the float64 values one node holds: a
     :class:`BucketMeasure` of B buckets where n > OVERHEAD + B K/2, the
-    values whose direct sums cost as much (:attr:`BucketMeasure.OVERHEAD`),
-    else :class:`DirectSums`.
+    number of values whose direct sums cost as much as the measure
+    (:attr:`BucketMeasure.OVERHEAD`), else :class:`DirectSums`.
     """
     if lam.size > BucketMeasure.OVERHEAD:
         positive = lam[:np.count_nonzero(lam)]
